@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Runs the benchmark over several seeds and summarizes every metric.
 
-    python3 perfbench/baseline.py --seeds 1-10 [--workloads a,b] [--trace 0|1]
-                                  [--out perfbench/baseline.json]
+    python3 perfbench/baseline.py --seeds 1-10 [--out perfbench/baseline.json]
                                   [--held-out <seed>]
 
-Run it from the root of a source checkout. For each workload and seed it
-runs perfbench/run.py once, then prints per metric the median, the first and
-third quartile (statistics.quantiles(values, n=4)) and the spread, which is
+Run it from the root of a source checkout. For each workload listed in
+BENCHMARK.json and each seed it runs perfbench/run.py once, untraced, then
+prints per end-to-end metric the median, the first and third quartile
+(statistics.quantiles(values, n=4)) and the spread, which is
 (q3 - q1) / median. With --out it also writes them as JSON, together with
 --held-out: a seed kept out of tuning, on which a later claim must also
 hold. Any run that fails or reports incorrect answers makes the script
@@ -49,9 +49,6 @@ def main():
         spec = json.load(f)
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--seeds", required=True)
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--out")
     parser.add_argument("--held-out", type=int)
     args = parser.parse_args()
@@ -59,14 +56,14 @@ def main():
     seeds = parse_seeds(args.seeds)
     ok = True
     summary = {}
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in spec["workloads"]):
         values = {}
         for seed in seeds:
             proc = subprocess.run(
                 [sys.executable, os.path.join(BENCH_DIR, "run.py"),
                  "--workload", workload, "--seed", str(seed),
                  "--seconds", str(spec["run_seconds"]),
-                 "--trace", str(args.trace)],
+                 "--trace", "0"],
                 cwd=ROOT, stdout=subprocess.PIPE, text=True)
             lines = proc.stdout.strip().splitlines()
             result = json.loads(lines[-1]) if lines else {}
@@ -85,7 +82,7 @@ def main():
     if args.out:
         with open(args.out, "w") as f:
             json.dump({"seeds": seeds, "held_out_seed": args.held_out,
-                       "trace": args.trace, "workloads": summary}, f,
+                       "workloads": summary}, f,
                       indent=1, sort_keys=True)
             f.write("\n")
     return 0 if ok else 1
