@@ -48,7 +48,35 @@ class Samples {
   }
   double Median() const { return Quantile(0.5); }
 
+  /// Splits the samples, in the order they were taken, into consecutive
+  /// windows of `window` samples (a last, partial one is left out) and
+  /// returns the median over the windows of each window's `q` quantile.
+  /// A slow stretch of the host moves only the windows it falls in.
+  double WindowedQuantile(double q, size_t window) const {
+    return OverWindows(window, [q](std::vector<double> w) {
+      std::sort(w.begin(), w.end());
+      return QuantileOfSorted(w, q);
+    });
+  }
+  /// The median over the windows of each window's mean.
+  double WindowedMean(size_t window) const {
+    return OverWindows(window, [](const std::vector<double>& w) {
+      double s = 0.0;
+      for (double v : w) s += v;
+      return s / static_cast<double>(w.size());
+    });
+  }
+
  private:
+  template <typename Stat>
+  double OverWindows(size_t window, Stat stat) const {
+    Samples per_window;
+    for (size_t i = 0; window > 0 && i + window <= values_.size(); i += window) {
+      per_window.Add(stat(std::vector<double>(values_.begin() + i,
+                                              values_.begin() + i + window)));
+    }
+    return per_window.Median();
+  }
   static double QuantileOfSorted(const std::vector<double>& v, double q) {
     if (v.empty()) return 0.0;
     const double pos = q * static_cast<double>(v.size() - 1);

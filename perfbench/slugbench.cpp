@@ -3,25 +3,29 @@
 //   slugbench --workload <name> --seed <n> --seconds <s> --trace <0|1>
 //             --tmpdir <dir> [--trace-out <file.csv>]
 //
-// Every workload runs the same pipeline on its fixed input graph (RMAT-13
+// Every workload runs the same pipeline on its fixed input graph (RMAT-11
 // or a planted hierarchy), with a different share of the measured time per
-// phase; the seed draws every operation:
+// kind of operation; the seed draws every operation:
 //
-//   setup   generate the input graph, summarize it (Engine, T = 20, the
-//           round-based engine on 4 threads), save it in the v2 format,
-//           open it in memory and paged (pread, a frame budget fixed in
-//           bytes below the file size), build a 4-shard ShardedGraph and
-//           wrap the summary in a DynamicGraph. Done once untimed as a
-//           warm-up, then kSetupReps times; the median is setup_s. Verify
-//           and the oracles are untimed.
-//   build   repeated Summarize + Save of the same input.
-//   serve   a seeded mix of in-memory Neighbors, NeighborsBatch,
-//           paged Neighbors, ShardedGraph::NeighborsBatch and
-//           PageRank + Triangles.
-//   update  closed-loop edit steps on the DynamicGraph: one 256-edit
-//           ApplyEdits, point reads and one 1,024-node NeighborsBatch.
+//   setup      generate the input graph, summarize it (Engine, T = 20, the
+//              round-based engine on one thread), save it in the v2
+//              format, open it in memory and paged (pread, a frame budget
+//              fixed in bytes below the file size), build a 4-shard
+//              ShardedGraph and wrap the summary in a DynamicGraph. Done
+//              once untimed as a warm-up, then kSetupReps times; the
+//              median is setup_s. Verify and the oracles are untimed.
+//   build      repeated Summarize + Save of the same input.
+//   serve      a seeded mix of in-memory Neighbors, NeighborsBatch,
+//              paged Neighbors and ShardedGraph::NeighborsBatch.
+//   analytics  PageRank + Triangles on the in-memory handle.
+//   update     closed-loop edit steps on the DynamicGraph: one 256-edit
+//              ApplyEdits, point reads and one 1,024-node NeighborsBatch;
+//              every kEditBlockSteps steps a synchronous Compact(); every
+//              kPeriodSteps steps the graph is the input again.
 //
-// All loops are closed with one client thread. Every answer is checked
+// All loops are closed with one client thread, and every operation an
+// end-to-end metric times runs on that thread alone, with no other thread
+// of the program busy beside it. Every answer is checked
 // against an oracle built from the input graph (and, for the update
 // phase, an adjacency oracle that follows the edits); every mismatch is a
 // failed operation and makes the program exit 1.
@@ -72,23 +76,22 @@ using slugger::NodeId;
 
 // ------------------------------------------------------------ workloads
 
-enum class Input { kRmat13, kHierarchy };
+enum class Input { kRmat11, kHierarchy };
 
 struct WorkloadSpec {
   const char* name;
   Input input;
-  /// Shares of --seconds spent on builds, serve rounds and edit steps.
+  /// Shares of --seconds spent on builds, serve rounds, analytics and
+  /// edit steps (their compactions included).
   double build_share;
   double serve_share;
+  double analytics_share;
   double update_share;
-  /// The point_* and batch_* metrics come from the edit steps' live
-  /// reads instead of the serve rounds' static ones.
-  bool reads_from_update;
 };
 
 constexpr WorkloadSpec kWorkloads[] = {
-    {"summarize-rmat", Input::kRmat13, 0.6, 0.08, 0.32, true},
-    {"serve-hier", Input::kHierarchy, 0.0, 0.85, 0.15, false},
+    {"summarize-rmat", Input::kRmat11, 0.35, 0.15, 0.15, 0.35},
+    {"serve-hier", Input::kHierarchy, 0.3, 0.3, 0.1, 0.3},
 };
 
 // One untimed warm-up set-up runs first: the process's first set-up pays
@@ -96,20 +99,44 @@ constexpr WorkloadSpec kWorkloads[] = {
 // later one does.
 constexpr int kWarmupSetups = 1;
 constexpr int kSetupReps = 3;
-constexpr unsigned kThreads = 4;          // at most 4 threads run at once
-constexpr unsigned kRebuildThreads = 3;   // + the client thread = 4
+// Timed work runs on one thread. On 4 threads, the build_s of RMAT-13
+// spread 0.23-0.34 (IQR over median) over ten runs on a shared 4-vCPU VM,
+// and pooled analytics and batches waited on thread wake-ups. Rebuild
+// compactions, which are not timed, use 3 threads while the client waits.
+constexpr unsigned kThreads = 1;
+constexpr unsigned kRebuildThreads = 3;   // + the waiting client thread = 4
 constexpr uint32_t kShards = 4;
 constexpr size_t kBatchNodes = 1024;
-constexpr uint64_t kPagedBudgetBytes = 128 * 1024;
+// The paged handle must not fit in its caches. Both inputs give files of
+// 6-7 default 64 KiB pages, so a query either found its pages resident or
+// faulted whole 64 KiB pages, and a p50 that sat between the two modes
+// jumped between 3 and 150 us from run to run. Small pages, a frame
+// budget of a fifth to a third of the file and a record cache smaller than the
+// summary make most queries fault a few small pages.
+constexpr uint32_t kPageSize = 4096;
+constexpr uint64_t kPagedBudgetBytes = 32 * 1024;
+constexpr uint32_t kRecordCacheCapacity = 256;
 constexpr int kServePointsPerRound = 32;
 constexpr int kServePagedPerRound = 8;
-constexpr double kAnalyticsShare = 0.1;
-constexpr size_t kMinAnalytics = 5;
 constexpr size_t kEditsPerStep = 256;
 constexpr int kStepPointReads = 16;
-constexpr int kEditBlockSteps = 32;       // hot / uniform alternation
+// Edit steps come in blocks, and each block ends in a synchronous
+// Compact(): a fold after a block on the hot set, a rebuild after one with
+// uniform endpoints. With background compaction the overlay each
+// ApplyEdits copies, and so its time, grew or shrank with thread
+// scheduling: edits_per_s spread 0.14-0.35 (IQR over median) over ten runs.
+constexpr int kEditBlockSteps = 8;
+// A period is a hot and a uniform block of fresh edits, then the same two
+// blocks undone in reverse order, so the graph is the input again at the
+// end of every period. With fresh edits only, uniform inserts spread the
+// RMAT hubs' edges over the whole graph, every ApplyEdits (which looks up
+// the base neighbours of each edit's endpoint) grew cheaper as the hubs
+// shrank, and edits_per_s followed the number of steps a run made: it
+// spread 0.24 over ten runs.
+constexpr int kPeriodSteps = 4 * kEditBlockSteps;
 constexpr double kHotFraction = 0.015;    // below the 2% fold threshold
 constexpr double kPageRankTolerance = 1e-9;
+constexpr size_t kTailWindows = 16;
 // The input graphs stay fixed and the workload seed draws only the
 // operations. A seed-drawn RMAT-13 moved the median PageRank + Triangles
 // time by 0.19 (IQR over median) across five seeds, while the other
@@ -118,16 +145,16 @@ constexpr double kPageRankTolerance = 1e-9;
 // over seeds 1-12), and relabelling its nodes by the seed moved
 // point_p50_us by up to 45% between seeds.
 constexpr uint64_t kRmatStructureSeed = 1;
-constexpr uint64_t kHierarchyStructureSeed = 7;  // 266,930 edges
+constexpr uint64_t kHierarchyStructureSeed = 7;
 
 slugger::graph::Graph MakeInput(Input input) {
-  if (input == Input::kRmat13) {
-    return slugger::gen::RMat(13, 65536, 0.57, 0.19, 0.19, kRmatStructureSeed);
+  if (input == Input::kRmat11) {
+    return slugger::gen::RMat(11, 16384, 0.57, 0.19, 0.19, kRmatStructureSeed);
   }
   slugger::gen::PlantedHierarchyOptions opt;
   opt.branching = 4;
   opt.depth = 4;
-  opt.leaf_size = 16;
+  opt.leaf_size = 8;
   opt.pair_link_prob = 0.3;
   opt.noise_density = 0.001;
   return slugger::gen::PlantedHierarchy(opt, kHierarchyStructureSeed);
@@ -248,7 +275,13 @@ class Bench {
 
   // Update-phase helpers.
   void EditStep(slugger::DynamicGraph& dyn);
+  void ApplyAndRead(slugger::DynamicGraph& dyn);
+  void Compact(slugger::DynamicGraph& dyn);
   void PickEdits(bool hot, std::vector<slugger::EdgeEdit>* edits,
+                 std::vector<NodeId>* touched);
+  /// The inverse of `batch`, in reverse order, into `edits`.
+  void UndoEdits(const std::vector<slugger::EdgeEdit>& batch,
+                 std::vector<slugger::EdgeEdit>* edits,
                  std::vector<NodeId>* touched);
   bool OracleHas(NodeId u, NodeId v) const;
   void OracleInsert(NodeId u, NodeId v);
@@ -262,9 +295,8 @@ class Bench {
   bool CheckBatch(std::span<const NodeId> nodes, const BatchResult& out,
                   bool sorted, const Adjacency& oracle);
   void Fail(const std::string& what);
-  /// Starts one top-level operation; every other one of each kind is
-  /// traced in a traced run, and `kind` buckets its latency for the
-  /// overhead ratio.
+  /// Starts one top-level operation; half of each kind are traced in a
+  /// traced run, and `kind` buckets its latency for the overhead ratio.
   void BeginOp(const char* kind);
   void EndOp(double seconds);
   double TracingOverhead() const;
@@ -311,13 +343,14 @@ class Bench {
   std::unordered_map<uint64_t, uint32_t> edge_index_;
   std::vector<NodeId> hot_;
   std::vector<uint8_t> is_hot_;
+  std::vector<std::vector<slugger::EdgeEdit>> undo_log_;  ///< this period's
 
   // Build.
   std::optional<BuildCounts> first_counts_;
   Samples summarize_s_, save_s_, candidate_s_, merge_s_, prune_s_;
   Samples build_s_;  ///< builds of the measured section only
   // Setup.
-  Samples setup_s_, setup_build_s_, gen_s_, open_s_, dist_build_s_;
+  Samples setup_s_, gen_s_, open_s_, dist_build_s_;
   // Serve.
   Samples point_s_, batch_s_, paged_s_, sharded_s_, analytics_s_, pagerank_s_,
       triangles_s_;
@@ -327,12 +360,12 @@ class Bench {
   double paged_fetches_ = 0, paged_faults_ = 0, paged_evictions_ = 0;
   double record_hits_ = 0, record_misses_ = 0, dispatch_s_ = 0;
   // Update.
-  Samples apply_s_, live_point_s_, live_batch_s_;
+  Samples apply_s_, live_point_s_, live_batch_s_, compact_s_;
   uint64_t edits_sent_ = 0;
   uint64_t steps_ = 0;
   uint64_t corrections_max_ = 0;
   slugger::DynamicGraphStats dyn_stats_;
-  double compaction_s_ = 0.0, publishes_ = 0.0;
+  double publishes_ = 0.0;
   // Whole-run registry deltas of the batched query walk.
   double chain_reuse_ = 0, chain_reset_ = 0, dup_hits_ = 0;
 };
@@ -345,10 +378,13 @@ void Bench::Fail(const std::string& what) {
 void Bench::BeginOp(const char* kind) {
   ++attempted_;
   op_kind_ = kind;
-  // Alternate within each kind, so even a kind that runs three times
-  // (analytics) gets traced and untraced samples.
+  // Alternate in pairs within each kind (traced, traced, untraced,
+  // untraced, ...), so even a kind that runs a few times gets both halves,
+  // and a kind whose operations alternate between two shapes (fold and
+  // rebuild compactions; live reads of edited and of random nodes) has
+  // both shapes in each half.
   const auto& bucket = op_times_[kind];
-  op_traced_ = (bucket.first.size() + bucket.second.size()) % 2 == 0;
+  op_traced_ = (bucket.first.size() + bucket.second.size()) / 2 % 2 == 0;
   tracer_.BeginOp(op_traced_);
 }
 
@@ -448,7 +484,9 @@ bool Bench::Build(const slugger::graph::Graph& g, CompressedGraph* out,
   slugger::Status saved = slugger::Status::OK();
   {
     auto span = tracer_.Open("storage.save");
-    saved = slugger::storage::Save(*out, *path);
+    slugger::storage::SaveOptions options;
+    options.page_size = kPageSize;
+    saved = slugger::storage::Save(*out, *path, options);
   }
   const double save = SecondsSince(save_start);
   summarize_s_.Add(summarize);
@@ -499,7 +537,6 @@ bool Bench::Setup(Served* out) {
   CompressedGraph built;
   double build_seconds = 0.0;
   if (!Build(out->g, &built, &out->path, &build_seconds)) return false;
-  setup_build_s_.Add(build_seconds);
   timed += build_seconds;
   BeginOp("open");
   {
@@ -513,7 +550,8 @@ bool Bench::Setup(Served* out) {
     paged_options.mode = slugger::storage::OpenOptions::Mode::kPaged;
     paged_options.buffer.io = slugger::storage::Io::kPread;
     paged_options.buffer.max_resident_pages = static_cast<uint32_t>(std::max<
-        uint64_t>(1, kPagedBudgetBytes / slugger::storage::kDefaultPageSize));
+        uint64_t>(1, kPagedBudgetBytes / kPageSize));
+    paged_options.record_cache_capacity = kRecordCacheCapacity;
     auto paged = slugger::storage::Open(out->path, paged_options);
     const double dt = SecondsSince(start);
     open_s_.Add(dt);
@@ -560,7 +598,7 @@ bool Bench::Setup(Served* out) {
     auto root = tracer_.Open("bench.setup");
     slugger::DynamicGraphOptions options;
     options.rebuild = MakeEngineOptions(kRebuildThreads);
-    options.auto_compact = true;
+    options.auto_compact = false;  // EditStep compacts at block ends
     const auto start = Clock::now();
     auto span = tracer_.Open("stream.wrap");
     out->dynamic =
@@ -574,7 +612,7 @@ bool Bench::Setup(Served* out) {
 }
 
 void Bench::DropSetupSamples() {
-  setup_s_ = setup_build_s_ = gen_s_ = open_s_ = dist_build_s_ = Samples();
+  setup_s_ = gen_s_ = open_s_ = dist_build_s_ = Samples();
   summarize_s_ = save_s_ = candidate_s_ = merge_s_ = prune_s_ = Samples();
 }
 
@@ -824,12 +862,56 @@ void Bench::PickEdits(bool hot, std::vector<slugger::EdgeEdit>* edits,
   }
 }
 
-void Bench::EditStep(slugger::DynamicGraph& dyn) {
-  // Blocks of steps alternate between the hot set (folds) and uniform
-  // endpoints (rebuilds), starting hot.
-  const bool hot = (steps_++ / kEditBlockSteps) % 2 == 0;
-  PickEdits(hot, &edits_buf_, &touched_);
+void Bench::UndoEdits(const std::vector<slugger::EdgeEdit>& batch,
+                      std::vector<slugger::EdgeEdit>* edits,
+                      std::vector<NodeId>* touched) {
+  edits->clear();
+  touched->clear();
+  for (auto it = batch.rbegin(); it != batch.rend(); ++it) {
+    const bool del = it->kind == slugger::EditKind::kInsert;
+    if (del) {
+      OracleErase(it->u, it->v);
+    } else {
+      OracleInsert(it->u, it->v);
+    }
+    edits->push_back({it->u, it->v, del ? slugger::EditKind::kDelete
+                                        : slugger::EditKind::kInsert});
+    touched->push_back(it->u);
+  }
+}
 
+void Bench::EditStep(slugger::DynamicGraph& dyn) {
+  // A period: a hot block (folds), a uniform block (rebuilds), then both
+  // undone step by step in reverse order.
+  const uint64_t step = steps_++ % kPeriodSteps;
+  if (step < kPeriodSteps / 2) {
+    PickEdits(/*hot=*/step < kEditBlockSteps, &edits_buf_, &touched_);
+    undo_log_.push_back(edits_buf_);
+  } else {
+    UndoEdits(undo_log_.back(), &edits_buf_, &touched_);
+    undo_log_.pop_back();
+  }
+  ApplyAndRead(dyn);
+  // The block's last step ends in a compaction.
+  if (failed_ == 0 && steps_ % kEditBlockSteps == 0) Compact(dyn);
+}
+
+void Bench::Compact(slugger::DynamicGraph& dyn) {
+  BeginOp("compact");
+  auto root = tracer_.Open("bench.compact");
+  const auto start = Clock::now();
+  slugger::Status st = slugger::Status::OK();
+  {
+    auto span = tracer_.Open("stream.compact");
+    st = dyn.Compact();
+  }
+  const double dt = SecondsSince(start);
+  compact_s_.Add(dt);
+  EndOp(dt);
+  if (!st.ok()) Fail("compact: " + st.ToString());
+}
+
+void Bench::ApplyAndRead(slugger::DynamicGraph& dyn) {
   BeginOp("apply");
   {
     auto root = tracer_.Open("bench.apply");
@@ -880,9 +962,7 @@ void Bench::EditStep(slugger::DynamicGraph& dyn) {
 }
 
 void Bench::FinishUpdates(slugger::DynamicGraph& dyn) {
-  // Untimed: a compaction still in flight finishes first, so the short
-  // edit sections report the rebuild they started.
-  dyn.WaitForCompaction();
+  // Untimed: the mutated graph as a whole, overlay included.
   dyn_stats_ = dyn.stats();
   ++attempted_;  // the final whole-graph comparison
   const slugger::Status last = dyn.last_compaction_error();
@@ -898,44 +978,40 @@ void Bench::FinishUpdates(slugger::DynamicGraph& dyn) {
 // -------------------------------------------------------------- measure
 
 void Bench::Measure(Served& s) {
-  // Builds and serve rounds interleave: the next operation is of the kind
-  // furthest below its share of the time used so far, so the samples of
-  // both spread over the whole section instead of one window of it.
-  // Analytics run at least kMinAnalytics times, spread evenly, and
-  // otherwise whenever they have used less than kAnalyticsShare of the
-  // serve time; their time does not count against the section.
-  const double section = (spec_.build_share + spec_.serve_share) * seconds_;
-  double build_used = 0.0, serve_used = 0.0;
-  while (failed_ == 0 && build_used + serve_used < section) {
-    const size_t runs = analytics_s_.size();
-    if ((runs < kMinAnalytics && build_used + serve_used >=
-                                     section * static_cast<double>(runs) /
-                                         kMinAnalytics) ||
-        analytics_s_.Sum() < kAnalyticsShare * serve_used) {
-      ServeAnalytics(s.mem);
-      continue;
+  // Every kind of operation runs until it has used its share of the
+  // measured time. The next operation is of the kind furthest below its
+  // share so far, so the samples of every kind spread over the whole
+  // section and each metric averages the host's speed over all of it.
+  enum Kind { kBuild, kServe, kAnalytics, kUpdate, kKinds };
+  const double share[kKinds] = {spec_.build_share, spec_.serve_share,
+                                spec_.analytics_share, spec_.update_share};
+  double used[kKinds] = {};
+  double total = 0.0;
+  while (failed_ == 0 && total < seconds_) {
+    int next = -1;
+    for (int k = 0; k < kKinds; ++k) {
+      if (share[k] > 0.0 &&
+          (next < 0 || used[k] * share[next] < used[next] * share[k])) {
+        next = k;
+      }
     }
     const auto start = Clock::now();
-    if (build_used * spec_.serve_share < serve_used * spec_.build_share) {
-      BuildOnce(s.g);
-      build_used += SecondsSince(start);
-    } else {
-      ServeRound(s);
-      serve_used += SecondsSince(start);
+    switch (next) {
+      case kBuild: BuildOnce(s.g); break;
+      case kServe: ServeRound(s); break;
+      case kAnalytics: ServeAnalytics(s.mem); break;
+      case kUpdate:
+        // A whole period, so every run has the same mix of steps and
+        // compactions and ends on the input graph.
+        for (int i = 0; i < kPeriodSteps && failed_ == 0; ++i) {
+          EditStep(*s.dynamic);
+        }
+        break;
     }
+    const double dt = SecondsSince(start);
+    used[next] += dt;
+    total += dt;
   }
-  while (failed_ == 0 && analytics_s_.size() < kMinAnalytics) {
-    ServeAnalytics(s.mem);
-  }
-  // Edit steps run last, so their background compactions overlap nothing
-  // but the steps' own reads.
-  const auto deadline =
-      Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                         std::chrono::duration<double>(spec_.update_share *
-                                                       seconds_));
-  do {
-    EditStep(*s.dynamic);
-  } while (failed_ == 0 && Clock::now() < deadline);
   FinishUpdates(*s.dynamic);
 }
 
@@ -976,9 +1052,6 @@ int Bench::Run(const std::string& trace_out) {
     chain_reuse_ = after.Since(before, "slugger_query_chain_reuse_total");
     chain_reset_ = after.Since(before, "slugger_query_chain_reset_total");
     dup_hits_ = after.Since(before, "slugger_query_batch_dup_hits_total");
-    compaction_s_ =
-        after.Since(before, "slugger_dynamic_compaction_fold_seconds.sum") +
-        after.Since(before, "slugger_dynamic_compaction_rebuild_seconds.sum");
     publishes_ = after.Since(before, "slugger_snapshot_publish_total");
   }
   if (tracer_.enabled() && !trace_out.empty() && !tracer_.WriteCsv(trace_out)) {
@@ -994,15 +1067,18 @@ int Bench::Run(const std::string& trace_out) {
   return failed_ == 0 ? 0 : 1;
 }
 
+// The p95 of a latency: the median over kTailWindows consecutive windows
+// (of at least 20 samples) of each window's p95, so a short slow stretch
+// of the host moves only the windows it falls in.
+double TailOf(const Samples& s) {
+  const size_t window = std::max<size_t>(s.size() / kTailWindows,
+                                         std::min<size_t>(s.size(), 20));
+  return s.WindowedQuantile(0.95, window);
+}
+
 std::string Bench::Report() const {
-  const bool live = spec_.reads_from_update;
-  const Samples& point = live ? live_point_s_ : point_s_;
-  const Samples& batch = live ? live_batch_s_ : batch_s_;
   const double edges = static_cast<double>(std::max<uint64_t>(1, input_edges_));
   const BuildCounts counts = first_counts_.value_or(BuildCounts{});
-  // build_s comes from the measured section where it has builds, and from
-  // the timed set-ups' builds where it has none.
-  const Samples& build = spec_.build_share > 0.0 ? build_s_ : setup_build_s_;
 
   MetricList e2e;
   e2e.Add("setup_s", setup_s_.Median(), "s", setup_s_.size());
@@ -1012,25 +1088,29 @@ std::string Bench::Report() const {
                      : 0.0,
           "ratio", attempted_);
   e2e.Add("peak_rss_mb", PeakRssMiB(), "MiB", 1);
-  e2e.Add("build_s", build.Median(), "s", build.size());
+  e2e.Add("build_s", build_s_.Median(), "s", build_s_.size());
   e2e.Add("relative_size", static_cast<double>(counts.cost) / edges, "ratio",
           1);
   e2e.Add("file_bytes_per_edge", static_cast<double>(counts.file_bytes) / edges,
           "B", 1);
-  e2e.Add("point_p50_us", point.Quantile(0.5) * 1e6, "us", point.size());
-  e2e.Add("point_p95_us", point.Quantile(0.95) * 1e6, "us", point.size());
-  e2e.Add("batch_p50_ms", batch.Quantile(0.5) * 1e3, "ms", batch.size());
-  e2e.Add("batch_p95_ms", batch.Quantile(0.95) * 1e3, "ms", batch.size());
+  e2e.Add("point_p50_us", point_s_.Quantile(0.5) * 1e6, "us", point_s_.size());
+  e2e.Add("point_p95_us", TailOf(point_s_) * 1e6, "us", point_s_.size());
+  e2e.Add("batch_p50_ms", batch_s_.Quantile(0.5) * 1e3, "ms", batch_s_.size());
+  e2e.Add("batch_p95_ms", TailOf(batch_s_) * 1e3, "ms", batch_s_.size());
   e2e.Add("paged_point_p50_us", paged_s_.Quantile(0.5) * 1e6, "us",
           paged_s_.size());
-  e2e.Add("paged_point_p95_us", paged_s_.Quantile(0.95) * 1e6, "us",
-          paged_s_.size());
+  e2e.Add("paged_point_p95_us", TailOf(paged_s_) * 1e6, "us", paged_s_.size());
   e2e.Add("sharded_batch_p50_ms", sharded_s_.Quantile(0.5) * 1e3, "ms",
           sharded_s_.size());
   e2e.Add("analytics_s", analytics_s_.Median(), "s", analytics_s_.size());
-  e2e.Add("edits_per_s", static_cast<double>(edits_sent_) / apply_s_.Sum(),
+  // Per half period, so each value covers the same mix of hot and uniform
+  // steps: on serve-hier hot steps took about half as long as uniform
+  // ones, and the median step fell in the gap between the two.
+  const size_t half = kPeriodSteps / 2;
+  e2e.Add("edits_per_s",
+          static_cast<double>(kEditsPerStep) / apply_s_.WindowedMean(half),
           "1/s", apply_s_.size());
-  e2e.Add("apply_p95_ms", apply_s_.Quantile(0.95) * 1e3, "ms",
+  e2e.Add("apply_p95_ms", apply_s_.WindowedQuantile(0.95, half) * 1e3, "ms",
           apply_s_.size());
 
   MetricList layer;
@@ -1127,8 +1207,7 @@ std::string Bench::Report() const {
   layer.Add("stream.compactions_rebuild",
             static_cast<double>(dyn_stats_.compactions_rebuild), "count",
             steps_);
-  layer.Add("stream.compaction_s", compaction_s_, "s",
-            dyn_stats_.compactions_fold + dyn_stats_.compactions_rebuild);
+  layer.Add("stream.compaction_s", compact_s_.Sum(), "s", compact_s_.size());
   layer.Add("stream.overlay_corrections_max",
             static_cast<double>(corrections_max_), "count", steps_);
   layer.Add("stream.point_s", live_point_s_.Sum(), "s", live_point_s_.size());
