@@ -71,7 +71,8 @@ class Samples {
   template <typename Stat>
   double OverWindows(size_t window, Stat stat) const {
     Samples per_window;
-    for (size_t i = 0; window > 0 && i + window <= values_.size(); i += window) {
+    for (size_t i = 0; window > 0 && i + window <= values_.size();
+         i += window) {
       per_window.Add(stat(std::vector<double>(values_.begin() + i,
                                               values_.begin() + i + window)));
     }

@@ -25,10 +25,10 @@
 //
 // All loops are closed with one client thread, and every operation an
 // end-to-end metric times runs on that thread alone, with no other thread
-// of the program busy beside it. Every answer is checked
-// against an oracle built from the input graph (and, for the update
-// phase, an adjacency oracle that follows the edits); every mismatch is a
-// failed operation and makes the program exit 1.
+// of the program busy beside it. Every answer is checked against an
+// oracle built from the input graph (and, for the update phase, an
+// adjacency oracle that follows the edits); every mismatch is a failed
+// operation and makes the program exit 1.
 //
 // The last line of stdout is one JSON object with the end-to-end and
 // per-layer metrics (each with its sample count), the attempted/failed
@@ -110,9 +110,9 @@ constexpr size_t kBatchNodes = 1024;
 // The paged handle must not fit in its caches. Both inputs give files of
 // 6-7 default 64 KiB pages, so a query either found its pages resident or
 // faulted whole 64 KiB pages, and a p50 that sat between the two modes
-// jumped between 3 and 150 us from run to run. Small pages, a frame
-// budget of a fifth to a third of the file and a record cache smaller than the
-// summary make most queries fault a few small pages.
+// read 11 us in one run and 147 us in the next. Small pages, a frame
+// budget of a fifth to a third of the file and a record cache smaller
+// than the summary make most queries fault a few small pages.
 constexpr uint32_t kPageSize = 4096;
 constexpr uint64_t kPagedBudgetBytes = 32 * 1024;
 constexpr uint32_t kRecordCacheCapacity = 256;
