@@ -36,6 +36,8 @@ struct Run {
   double prune_seconds;
   uint64_t cost;
   uint64_t merges;
+  uint64_t evaluations;
+  uint64_t bound_skips;
   bool lossless;
 };
 
@@ -75,14 +77,18 @@ int main() {
     run.prune_seconds = r.prune_seconds;
     run.cost = r.stats.cost;
     run.merges = r.merges;
+    run.evaluations = r.evaluations;
+    run.bound_skips = r.bound_skips;
     run.lossless = summary::VerifyLossless(g, r.summary).ok();
     runs.push_back(run);
     std::printf(
         "threads=%-2u %-13s merge=%8.3fs  candidates=%7.3fs  prune=%6.3fs  "
-        "cost=%llu  lossless=%s\n",
+        "cost=%llu  evaluations=%llu  bound_skips=%llu  lossless=%s\n",
         t, deterministic ? "deterministic" : "async", run.merge_seconds,
         run.candidate_seconds, run.prune_seconds,
         static_cast<unsigned long long>(run.cost),
+        static_cast<unsigned long long>(run.evaluations),
+        static_cast<unsigned long long>(run.bound_skips),
         run.lossless ? "yes" : "NO");
   };
 
@@ -117,17 +123,20 @@ int main() {
                      ",\"runs\":[";
   for (size_t i = 0; i < runs.size(); ++i) {
     const Run& r = runs[i];
-    char buf[256];
+    char buf[384];
     std::snprintf(buf, sizeof(buf),
                   "%s{\"threads\":%u,\"deterministic\":%s,"
                   "\"merge_seconds\":%.6f,\"candidate_seconds\":%.6f,"
                   "\"prune_seconds\":%.6f,\"cost\":%llu,\"merges\":%llu,"
+                  "\"evaluations\":%llu,\"bound_skips\":%llu,"
                   "\"lossless\":%s}",
                   i == 0 ? "" : ",", r.threads,
                   r.deterministic ? "true" : "false", r.merge_seconds,
                   r.candidate_seconds, r.prune_seconds,
                   static_cast<unsigned long long>(r.cost),
                   static_cast<unsigned long long>(r.merges),
+                  static_cast<unsigned long long>(r.evaluations),
+                  static_cast<unsigned long long>(r.bound_skips),
                   r.lossless ? "true" : "false");
     json += buf;
   }

@@ -24,6 +24,12 @@ struct EngineObs {
       "slugger_engine_iterations_total", "merge iterations completed");
   obs::Counter* merges = obs::MetricsRegistry::Global().GetCounter(
       "slugger_engine_merges_total", "accepted supernode merges");
+  obs::Counter* evaluations = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_engine_evaluations_total",
+      "merge evaluations (Saving computations) in the partner scans");
+  obs::Counter* bound_skips = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_engine_bound_skips_total",
+      "scan partners skipped because their saving bound cannot win");
   // Summarize runs span ~ms (toy graphs) to minutes: 100us first bound,
   // x2 growth, 24 buckets tops out around 14 minutes.
   obs::Histogram* run_seconds = obs::MetricsRegistry::Global().GetHistogram(
@@ -129,6 +135,8 @@ StatusOr<CompressedGraph> Engine::Summarize(const graph::Graph& g,
   o.runs->Add(1);
   if (result.cancelled) o.runs_cancelled->Add(1);
   o.merges->Add(result.merges);
+  o.evaluations->Add(result.evaluations);
+  o.bound_skips->Add(result.bound_skips);
   o.candidate_seconds->Observe(result.candidate_seconds);
   o.merge_seconds->Observe(result.merge_seconds);
   o.prune_seconds->Observe(result.prune_seconds);

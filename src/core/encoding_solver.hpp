@@ -21,6 +21,9 @@ struct SolvedEncoding {
   int cost() const { return static_cast<int>(edges.size()); }
 };
 
+/// Default search-expansion cap of one solve.
+inline constexpr uint64_t kDefaultNodeBudget = 1u << 20;
+
 /// Exactly solves the instance via iterative-deepening DFS with a
 /// max-residual lower bound. `target` has one entry per universe class
 /// (entries on inactive classes must be 0). `node_budget` caps search
@@ -28,7 +31,7 @@ struct SolvedEncoding {
 /// falls back to keeping the old encoding, which is always valid).
 SolvedEncoding SolveMinimumEncoding(const Universe& universe,
                                     const int8_t* target,
-                                    uint64_t node_budget = 1u << 20);
+                                    uint64_t node_budget = kDefaultNodeBudget);
 
 /// Brute-force reference solver (subset enumeration over signed slots),
 /// exponential; only for small universes in tests.

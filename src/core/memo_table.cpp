@@ -27,7 +27,7 @@ const SolvedEncoding& MemoTable::Solve(const Universe& universe,
   uint64_t key = PackKey(universe, target);
   auto it = cache_.find(key);
   if (it != cache_.end()) return it->second;
-  SolvedEncoding solved = SolveMinimumEncoding(universe, target);
+  SolvedEncoding solved = SolveMinimumEncoding(universe, target, node_budget_);
   return cache_.emplace(key, std::move(solved)).first->second;
 }
 

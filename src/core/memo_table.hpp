@@ -20,6 +20,11 @@ namespace slugger::core {
 /// Process-wide cache: (universe code, packed target) -> optimal encoding.
 class MemoTable {
  public:
+  /// `node_budget` caps the search of every solve (SolveMinimumEncoding);
+  /// a solve that exhausts it is cached as infeasible.
+  explicit MemoTable(uint64_t node_budget = kDefaultNodeBudget)
+      : node_budget_(node_budget) {}
+
   static MemoTable& Global();
 
   /// Returns the memoized optimal encoding, solving on first use.
@@ -40,6 +45,7 @@ class MemoTable {
  private:
   static uint64_t PackKey(const Universe& universe, const int8_t* target);
 
+  uint64_t node_budget_;
   std::unordered_map<uint64_t, SolvedEncoding> cache_;
 };
 

@@ -1,5 +1,6 @@
 #include "core/merge_planner.hpp"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -41,6 +42,26 @@ uint8_t CSideUnitMask(int c_pos, bool c_internal) {
   }
 }
 
+/// Adds an edge's coverage to the merged root's top-band classes: units
+/// {a, b} (bits of `m_units`) x c-side units (bits of `c_units`).
+void AddTopCoverage(uint8_t m_units, uint8_t c_units, EdgeSign sign,
+                    int8_t top[4]) {
+  for (int mi = 0; mi < 2; ++mi) {
+    if (!(m_units >> mi & 1)) continue;
+    for (int cj = 0; cj < 2; ++cj) {
+      if (!(c_units >> cj & 1)) continue;
+      top[2 * mi + cj] = static_cast<int8_t>(top[2 * mi + cj] + sign);
+    }
+  }
+}
+
+bool CoverageAtMostOnce(const int8_t top[4]) {
+  for (int i = 0; i < 4; ++i) {
+    if (top[i] < -1 || top[i] > 1) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void MergePlanner::BeginScan(SupernodeId a) {
@@ -50,8 +71,9 @@ void MergePlanner::BeginScan(SupernodeId a) {
   scan_adj_.clear();
   mark_epoch_[a] = epoch_;
   scan_adj_.push_back(a);
-  state_->RootAdjacency(a).ForEach([&](SupernodeId c, uint32_t) {
+  state_->RootAdjacency(a).ForEach([&](SupernodeId c, uint32_t count) {
     mark_epoch_[c] = epoch_;
+    scan_cnt_[c] = count;
     scan_adj_.push_back(c);
   });
   scan_adj_count_ = static_cast<uint32_t>(scan_adj_.size());
@@ -72,6 +94,77 @@ bool MergePlanner::MayOverlap(SupernodeId z) const {
     if (z_adj.Contains(c)) return true;
   }
   return false;
+}
+
+// Why SavingUpperBound is admissible. EvaluateInto yields
+//   cost_after = cost_before + 2 - R,   R = R_within + sum_C R_C,
+// where R_within (Case 1) and R_C (the cross bucket of adjacent root C)
+// are each re-encoding's drop in edge count, 0 when the old edges are
+// kept. Any U >= R therefore gives cost_after >= cost_before + 2 - U.
+//  * R_within <= |old within-family edges| <= Between(a,z) + Within(a) +
+//    Within(z): a family edge lies inside a, inside z or between them.
+//  * Bucket C holds k_A old edges from S_a = {a} ∪ children(a) and k_Z
+//    from S_z to S_C. By the invariant below they are minimum encodings of
+//    coverages t_A and t_Z with entries in {-1, 0, 1}. Every encoding E of
+//    t_A + t_Z over the merged universe then has |E| >= max(k_A, k_Z), so
+//    R_C = k_A + k_Z - |E| <= min(k_A, k_Z): a one-sided bucket never
+//    shrinks. (Map each edge (M, c) of E to (a, c), same coverage on a's
+//    units, and drop z's edges: what is left encodes t_A, unless (M, c)
+//    and (a, c) collide. The collisions cannot help for coverages in
+//    {-1, 0, 1}; SavingBound.CrossBucketLemmaHoldsExhaustively checks that
+//    over every Case-2 shape. With a coverage of 2 the claim is false:
+//    (M, C) + (a, C) covers a twice and z once in two edges, while a alone
+//    needs three.)
+//  * k_X(C) <= RootAdjacency(X)[C], which counts every tree-to-tree edge.
+// Invariant: the edges between the top bands of any two roots are a
+// minimum encoding of their coverage, and that coverage is in {-1, 0, 1}
+// on every class. It holds on the trivial summary (one edge per leaf
+// pair). Commit keeps minimality: every bucket with >= 2 edges is
+// re-solved exactly (kept old edges tie the optimum, so they are minimum
+// too), a single edge is always minimum, and a subset of a minimum
+// encoding is minimum over its own slots, so the part that lands in the
+// new top band {M, a, z} x S_C stays minimum. EvaluateInto checks that
+// part's coverage. A plan that gives up on a bucket or leaves a coverage
+// outside {-1, 0, 1} clears MergePlan::keeps_bound_invariant, and its
+// Commit switches the bound off for the rest of the run.
+// With after_lb = max(0, before + 2 - U) <= cost_after, the bound below is
+// the same double expression as EvaluateInto's saving, and correctly
+// rounded division is monotone, so saving <= bound holds exactly.
+double MergePlanner::SavingUpperBound(SupernodeId z) const {
+  assert(scan_root_ != kInvalidId && z != scan_root_);
+  if (!state_->saving_bound_valid()) {
+    return std::numeric_limits<double>::infinity();
+  }
+  const SupernodeId a = scan_root_;
+  const FlatCountMap& z_adj = state_->RootAdjacency(z);
+  uint64_t between = 0;
+  uint64_t shared = 0;  // sum over common C of min(cnt_a(C), cnt_z(C))
+  if (z_adj.size() <= scan_adj_count_) {
+    z_adj.ForEach([&](SupernodeId c, uint32_t cnt_z) {
+      if (mark_epoch_[c] != epoch_) return;
+      if (c == a) {
+        between = cnt_z;
+      } else {
+        shared += std::min(scan_cnt_[c], cnt_z);
+      }
+    });
+  } else {
+    for (uint32_t i = 1; i < scan_adj_count_; ++i) {  // [0] is a itself
+      SupernodeId c = scan_adj_[i];
+      if (c == z) {
+        between = scan_cnt_[c];
+      } else if (const uint32_t* cnt_z = z_adj.Find(c)) {
+        shared += std::min(scan_cnt_[c], *cnt_z);
+      }
+    }
+  }
+  const uint64_t before = state_->HCost(a) + state_->HCost(z) +
+                          state_->IncCost(a) + state_->IncCost(z) - between;
+  if (before == 0) return -std::numeric_limits<double>::infinity();
+  const uint64_t reducible =
+      between + state_->Within(a) + state_->Within(z) + shared;
+  const uint64_t after_lb = before + 2 > reducible ? before + 2 - reducible : 0;
+  return 1.0 - static_cast<double>(after_lb) / static_cast<double>(before);
 }
 
 void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
@@ -193,6 +286,7 @@ void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
       bucket->c_nodes[1] = bucket->c_internal ? c_kids[0] : kInvalidId;
       bucket->c_nodes[2] = bucket->c_internal ? c_kids[1] : kInvalidId;
       std::memset(bucket->target, 0, sizeof(bucket->target));
+      std::memset(bucket->kept_top, 0, sizeof(bucket->kept_top));
       bucket->old_edges.clear();
     } else {
       bucket = &buckets_[*idx];
@@ -211,6 +305,10 @@ void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
         int cls = Case2ClassIndex(mi, cj);
         bucket->target[cls] = static_cast<int8_t>(bucket->target[cls] + ce.sign);
       }
+    }
+    if (ce.f_local == kA || ce.f_local == kB) {
+      AddTopCoverage(ce.f_local == kA ? 0b01 : 0b10, cmask, ce.sign,
+                     bucket->kept_top);
     }
     bucket->old_edges.push_back({concrete[ce.f_local], ce.other, ce.sign});
   }
@@ -237,17 +335,27 @@ void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
     const Universe& case2 =
         GetCase2Universe(a_internal, b_internal, bucket.c_internal);
     const SolvedEncoding& solved2 = memo_->Solve(case2, bucket.target);
+    if (!solved2.feasible) plan->keeps_bound_invariant = false;
     if (solved2.feasible && solved2.edges.size() < bucket.old_edges.size()) {
       removed_total += bucket.old_edges.size();
       added_total += solved2.edges.size();
       for (const auto& e : bucket.old_edges) {
         plan->removes.emplace_back(e.x, e.y);
       }
+      int8_t top[4] = {0, 0, 0, 0};
       for (auto [slot, sign] : solved2.edges) {
         const Slot& s = case2.slots[slot];
         plan->adds.push_back(
             {concrete[s.p], bucket.c_nodes[s.q - kC], sign});
+        if (s.p == kM || s.p == kA || s.p == kB) {
+          AddTopCoverage(s.p == kM ? 0b11 : s.p == kA ? 0b01 : 0b10,
+                         CSideUnitMask(s.q - kC, bucket.c_internal), sign,
+                         top);
+        }
       }
+      if (!CoverageAtMostOnce(top)) plan->keeps_bound_invariant = false;
+    } else if (!CoverageAtMostOnce(bucket.kept_top)) {
+      plan->keeps_bound_invariant = false;
     }
   }
 
@@ -270,6 +378,7 @@ void MergePlanner::EvaluateInto(SupernodeId a, SupernodeId b, MergePlan* plan) {
 
 SupernodeId MergePlanner::Commit(const MergePlan& plan) {
   assert(plan.valid);
+  if (!plan.keeps_bound_invariant) state_->InvalidateSavingBound();
   for (const auto& [x, y] : plan.removes) {
     EdgeSign sign = state_->RemoveEdge(x, y);
     assert(sign != 0 && "plan is stale: edge to remove is absent");

@@ -10,6 +10,9 @@
 // marks A's adjacent roots once; MayOverlap(Z) then rejects partners with
 // no shared adjacency in O(min degree) — such merges always have negative
 // saving (Lemma 1), so they can never beat the threshold θ(t) >= 0.
+// SavingUpperBound(Z) then caps Saving(A, Z) from the root aggregates
+// alone, so the scan can skip partners that cannot beat θ(t) or the best
+// saving found so far without running EvaluateInto.
 #ifndef SLUGGER_CORE_MERGE_PLANNER_HPP_
 #define SLUGGER_CORE_MERGE_PLANNER_HPP_
 
@@ -32,6 +35,11 @@ struct MergePlan {
   double saving = 0.0;
   uint64_t cost_after = 0;     ///< Cost_{A∪B}(Ĝ), numerator of Eq. 8
   uint64_t cost_before = 0;    ///< denominator of Eq. 8
+  /// False if committing this plan could void the invariant behind
+  /// MergePlanner::SavingUpperBound: a cross bucket with >= 2 edges kept
+  /// its old edges because the solver gave up (node budget), or its new
+  /// top-band edges cover some class more than once.
+  bool keeps_bound_invariant = true;
 
   struct SignedEdge {
     SupernodeId x;
@@ -47,6 +55,7 @@ struct MergePlan {
     valid = false;
     saving = 0.0;
     cost_after = cost_before = 0;
+    keeps_bound_invariant = true;
     removes.clear();
     adds.clear();
   }
@@ -70,17 +79,26 @@ class MergePlanner {
     // committer may be appending under the growth lock).
     size_t bound = state_->max_supernodes();
     mark_epoch_.assign(bound, 0);
+    scan_cnt_.assign(bound, 0);
     root_stamp_.assign(bound, 0);
     root_count_.assign(bound, 0);
   }
 
-  /// Marks the adjacency of root a for fast MayOverlap tests.
+  /// Marks the adjacency of root a (and each adjacent root's edge count)
+  /// for fast MayOverlap and SavingUpperBound tests.
   void BeginScan(SupernodeId a);
 
   /// True iff merging a (from BeginScan) with z could have positive saving:
   /// they are adjacent or share an adjacent root. Others are skipped —
   /// distance >= 3 merges always increase the cost (paper Lemma 1).
   bool MayOverlap(SupernodeId z) const;
+
+  /// An upper bound on Saving(a, z) for the scan root a, computed in
+  /// O(min degree) from root aggregates: EvaluateInto(a, z).saving never
+  /// exceeds it, exactly (same floating-point expression). +infinity once
+  /// SluggerState::saving_bound_valid() is false. The derivation is next
+  /// to the definition.
+  double SavingUpperBound(SupernodeId z) const;
 
   /// Computes the merge plan for roots a and b into *plan. Never mutates
   /// state; reuses plan buffers.
@@ -104,6 +122,9 @@ class MergePlanner {
     bool c_internal;
     SupernodeId c_nodes[3];  // C, C1, C2 (kInvalidId if absent)
     int8_t target[8];
+    // Coverage of the old edges from a and b themselves (the part that
+    // stays in the merged root's top band) over (a or b) x c-side unit.
+    int8_t kept_top[4];
     std::vector<MergePlan::SignedEdge> old_edges;
   };
 
@@ -116,6 +137,7 @@ class MergePlanner {
   SupernodeId scan_root_ = kInvalidId;
   uint32_t scan_adj_count_ = 0;
   std::vector<SupernodeId> scan_adj_;
+  std::vector<uint32_t> scan_cnt_;  // root -> edges to scan_root_ (if marked)
 
   // Evaluate scratch.
   struct CrossEdge {

@@ -59,13 +59,22 @@ struct WorkerContext {
   MergePlan best;
 };
 
+/// Work counts of partner scans.
+struct ScanWork {
+  uint64_t evaluations = 0;  ///< EvaluateInto calls
+  uint64_t bound_skips = 0;  ///< partners the saving bound ruled out
+};
+
 /// Algorithm 2 inner loop: scans q for the best merge partner of a.
 /// Read-only on the state (safe under concurrent evaluation). Returns the
 /// index of the winning partner in q (meaningful only if best->valid).
+/// A partner whose saving bound is below θ or at most the best saving so
+/// far cannot change the outcome (the first strict maximum wins, and only
+/// a maximum >= θ commits), so it is skipped without evaluation.
 size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
                     const std::vector<SupernodeId>& q, SupernodeId a,
-                    uint32_t height_bound, MergePlan* plan, MergePlan* best,
-                    uint64_t* evaluations) {
+                    double theta, uint32_t height_bound, MergePlan* plan,
+                    MergePlan* best, ScanWork* work) {
   planner.BeginScan(a);
   best->Reset(a, a);
   best->saving = kNegInf;
@@ -77,8 +86,13 @@ size_t ScanPartners(const SluggerState& state, MergePlanner& planner,
       continue;  // Table V height-bounded variant
     }
     if (!planner.MayOverlap(z)) continue;  // Lemma 1: cannot pay off
+    double bound = planner.SavingUpperBound(z);
+    if (bound < theta || bound <= best->saving) {
+      ++work->bound_skips;
+      continue;
+    }
     planner.EvaluateInto(a, z, plan);
-    ++*evaluations;
+    ++work->evaluations;
     if (plan->valid && plan->saving > best->saving) {
       std::swap(*best, *plan);
       best_idx = i;
@@ -108,12 +122,14 @@ void RunGroupsSequential(const SluggerState& state, MergePlanner& planner,
                          const CancelToken* cancel, SluggerResult* result) {
   MergePlan plan;
   MergePlan best;
+  ScanWork work;
   for (std::vector<SupernodeId>& q : groups) {
-    while (q.size() > 1) {
-      if (IsCancelled(cancel)) return;  // every commit leaves a lossless state
+    // Every commit leaves a lossless state, so cancelling between scans is
+    // safe; the remaining groups then stop at their first check.
+    while (q.size() > 1 && !IsCancelled(cancel)) {
       SupernodeId a = PopRandom(q, rng);
-      size_t best_idx = ScanPartners(state, planner, q, a, height_bound,
-                                     &plan, &best, &result->evaluations);
+      size_t best_idx = ScanPartners(state, planner, q, a, theta,
+                                     height_bound, &plan, &best, &work);
       if (best.valid && best.saving >= theta) {
         SupernodeId m = planner.Commit(best);
         ++result->merges;
@@ -121,6 +137,8 @@ void RunGroupsSequential(const SluggerState& state, MergePlanner& planner,
       }
     }
   }
+  result->evaluations += work.evaluations;
+  result->bound_skips += work.bound_skips;
 }
 
 /// Round-based deterministic engine: every active group picks its merge
@@ -152,6 +170,7 @@ void RunGroupsDeterministic(
   }
 
   std::atomic<uint64_t> evaluations{0};
+  std::atomic<uint64_t> bound_skips{0};
   MergePlan commit_plan;
   while (!active.empty()) {
     // Round boundary: all of this round's commits have applied, so the
@@ -161,11 +180,12 @@ void RunGroupsDeterministic(
       GroupTask& gt = tasks[active[task]];
       WorkerContext& ctx = *workers[worker];
       SupernodeId a = PopRandom(gt.q, gt.rng);
-      uint64_t local_evals = 0;
-      size_t best_idx = ScanPartners(state, ctx.planner, gt.q, a,
+      ScanWork work;
+      size_t best_idx = ScanPartners(state, ctx.planner, gt.q, a, theta,
                                      height_bound, &ctx.plan, &ctx.best,
-                                     &local_evals);
-      evaluations.fetch_add(local_evals, std::memory_order_relaxed);
+                                     &work);
+      evaluations.fetch_add(work.evaluations, std::memory_order_relaxed);
+      bound_skips.fetch_add(work.bound_skips, std::memory_order_relaxed);
       gt.want_commit = ctx.best.valid && ctx.best.saving >= theta;
       if (gt.want_commit) {
         std::swap(gt.plan, ctx.best);
@@ -203,6 +223,7 @@ void RunGroupsDeterministic(
                  active.end());
   }
   result->evaluations += evaluations.load(std::memory_order_relaxed);
+  result->bound_skips += bound_skips.load(std::memory_order_relaxed);
 }
 
 // Room indices of the async engine's group lock.
@@ -278,6 +299,7 @@ void LockCommitNeighborhood(const SluggerState& state, ShardedLockTable& locks,
 /// structural merge takes the growth mutex. Returns the merged supernode.
 SupernodeId CommitSharded(SluggerState& state, AsyncShared& shared,
                           const MergePlan& plan) {
+  if (!plan.keeps_bound_invariant) state.InvalidateSavingBound();
   for (const auto& [x, y] : plan.removes) {
     EdgeSign sign = state.RemoveEdgeConcurrent(x, y);
     assert(sign != 0 && "plan is stale: edge to remove is absent");
@@ -313,13 +335,14 @@ void RunGroupsAsync(SluggerState& state,
                     double theta, uint32_t height_bound,
                     const CancelToken* cancel, SluggerResult* result) {
   std::atomic<uint64_t> evaluations{0};
+  std::atomic<uint64_t> bound_skips{0};
   std::atomic<uint64_t> merges{0};
 
   pool.Run(groups.size(), [&](uint64_t task, unsigned worker) {
     WorkerContext& ctx = *workers[worker];
     std::vector<SupernodeId>& q = groups[task];
     Rng rng(GroupSeed(seed, t, task));
-    uint64_t local_evals = 0;
+    ScanWork work;
     std::vector<uint32_t> held;
     std::vector<uint32_t> want;
     std::vector<uint32_t> merged;
@@ -332,8 +355,9 @@ void RunGroupsAsync(SluggerState& state,
       SupernodeId a = PopRandom(q, rng);
       uint64_t seen_version =
           shared.commit_version.load(std::memory_order_relaxed);
-      size_t best_idx = ScanPartners(state, ctx.planner, q, a, height_bound,
-                                     &ctx.plan, &ctx.best, &local_evals);
+      size_t best_idx = ScanPartners(state, ctx.planner, q, a, theta,
+                                     height_bound, &ctx.plan, &ctx.best,
+                                     &work);
       shared.rooms.Exit(kEvalRoom);
       if (!(ctx.best.valid && ctx.best.saving >= theta)) continue;
 
@@ -348,7 +372,7 @@ void RunGroupsAsync(SluggerState& state,
         // neighborhood, the shard handover above made its writes visible;
         // re-evaluate against the now-stable neighborhood.
         ctx.planner.EvaluateInto(ctx.best.a, ctx.best.b, &ctx.plan);
-        ++local_evals;
+        ++work.evaluations;
         commit = ctx.plan.valid && ctx.plan.saving >= theta;
         to_commit = &ctx.plan;
       }
@@ -362,9 +386,11 @@ void RunGroupsAsync(SluggerState& state,
       shared.rooms.Exit(kCommitRoom);
       if (m != kInvalidId) q[best_idx] = m;
     }
-    evaluations.fetch_add(local_evals, std::memory_order_relaxed);
+    evaluations.fetch_add(work.evaluations, std::memory_order_relaxed);
+    bound_skips.fetch_add(work.bound_skips, std::memory_order_relaxed);
   });
   result->evaluations += evaluations.load(std::memory_order_relaxed);
+  result->bound_skips += bound_skips.load(std::memory_order_relaxed);
   result->merges += merges.load(std::memory_order_relaxed);
 }
 

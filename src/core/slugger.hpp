@@ -32,6 +32,7 @@ struct SluggerResult {
   PruneAblation prune_ablation;     ///< Table IV instrumentation
   uint64_t merges = 0;              ///< accepted merges
   uint64_t evaluations = 0;         ///< Saving() evaluations performed
+  uint64_t bound_skips = 0;         ///< partners ruled out by the bound
   double merge_seconds = 0.0;       ///< candidate generation + merging
   double candidate_seconds = 0.0;   ///< candidate generation alone
   double prune_seconds = 0.0;

@@ -10,6 +10,7 @@
 #ifndef SLUGGER_CORE_SLUGGER_STATE_HPP_
 #define SLUGGER_CORE_SLUGGER_STATE_HPP_
 
+#include <atomic>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -61,6 +62,8 @@ class SluggerState {
   uint64_t HCost(SupernodeId root) const { return h_[root]; }
   uint64_t IncCost(SupernodeId root) const { return inc_[root]; }
   uint32_t Height(SupernodeId root) const { return height_[root]; }
+  /// Edges with both endpoints inside the tree of `root`.
+  uint64_t Within(SupernodeId root) const { return within_[root]; }
 
   /// Number of superedges between the trees of two distinct roots.
   uint32_t Between(SupernodeId root_a, SupernodeId root_b) const {
@@ -110,6 +113,18 @@ class SluggerState {
     return x == root || summary_.forest().Parent(x) == root;
   }
 
+  /// True while the edges between the top bands of any two roots are a
+  /// minimum encoding covering every class at most once — the invariant
+  /// MergePlanner::SavingUpperBound rests on. A commit that could break it
+  /// (MergePlan::keeps_bound_invariant) clears it for the rest of the run
+  /// (atomic: concurrent async committers may clear it together).
+  bool saving_bound_valid() const {
+    return saving_bound_valid_.load(std::memory_order_relaxed);
+  }
+  void InvalidateSavingBound() {
+    saving_bound_valid_.store(false, std::memory_order_relaxed);
+  }
+
   /// Sum of RootCost over all roots minus double-counted inter-tree edges:
   /// equals Cost(G) (used by tests to validate the aggregates).
   uint64_t TotalCostFromAggregates() const;
@@ -135,6 +150,7 @@ class SluggerState {
   std::vector<uint64_t> within_;
   std::vector<uint32_t> height_;
   std::vector<FlatCountMap> root_adj_;
+  std::atomic<bool> saving_bound_valid_{true};
 };
 
 }  // namespace slugger::core

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "storage/format.hpp"
+#include "util/atomic_file.hpp"
 #include "util/varint.hpp"
 
 namespace slugger::dist {
@@ -182,17 +183,7 @@ StatusOr<ShardManifest> ShardManifest::Deserialize(const std::string& bytes) {
 }
 
 Status ShardManifest::Save(const std::string& path) const {
-  const std::string bytes = Serialize();
-  FILE* f = std::fopen(path.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  const size_t written = std::fwrite(bytes.data(), 1, bytes.size(), f);
-  const int closed = std::fclose(f);
-  if (written != bytes.size() || closed != 0) {
-    return Status::IOError("short write to " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, Serialize());
 }
 
 StatusOr<ShardManifest> ShardManifest::Load(const std::string& path) {

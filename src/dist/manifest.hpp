@@ -119,7 +119,8 @@ class ShardManifest {
   /// InvalidArgument on any violation, never a crash.
   static StatusOr<ShardManifest> Deserialize(const std::string& bytes);
 
-  /// File round-trip helpers over Serialize/Deserialize.
+  /// File round-trip helpers over Serialize/Deserialize. Save replaces
+  /// the file atomically (util/atomic_file.hpp).
   Status Save(const std::string& path) const;
   static StatusOr<ShardManifest> Load(const std::string& path);
 

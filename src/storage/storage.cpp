@@ -5,6 +5,7 @@
 
 #include "storage/paged_source.hpp"
 #include "summary/serialize.hpp"
+#include "util/atomic_file.hpp"
 
 namespace slugger::storage {
 
@@ -51,17 +52,7 @@ Status Save(const CompressedGraph& graph, const std::string& path,
             const SaveOptions& options) {
   StatusOr<std::string> bytes = Serialize(graph, options);
   if (!bytes.ok()) return bytes.status();
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return Status::IOError("cannot open " + path + " for writing");
-  }
-  out.write(bytes.value().data(),
-            static_cast<std::streamsize>(bytes.value().size()));
-  out.flush();
-  if (!out) {
-    return Status::IOError("write failed on " + path);
-  }
-  return Status::OK();
+  return WriteFileAtomically(path, bytes.value());
 }
 
 StatusOr<CompressedGraph> Open(const std::string& path,

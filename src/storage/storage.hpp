@@ -58,9 +58,11 @@ struct OpenOptions {
   uint32_t record_cache_capacity = 4096;
 };
 
-/// Writes `graph` to `path` in the selected format (atomically enough
-/// for our purposes: a failed write leaves a partial file that will not
-/// open). A paged handle is materialized first; its error propagates.
+/// Writes `graph` to `path` in the selected format. The file is replaced
+/// atomically (temporary file, fsync, rename; see util/atomic_file.hpp):
+/// handles already serving the old file, mmap-paged ones included, keep
+/// answering from it, and a failed Save leaves the old file in place. A
+/// paged handle is materialized first; its error propagates.
 Status Save(const CompressedGraph& graph, const std::string& path,
             const SaveOptions& options = {});
 

@@ -14,8 +14,10 @@
 #include <vector>
 
 #include "api/engine.hpp"
+#include "core/slugger.hpp"
 #include "gen/generators.hpp"
 #include "graph/graph.hpp"
+#include "obs/metrics.hpp"
 
 namespace slugger {
 namespace {
@@ -168,6 +170,26 @@ TEST(Engine, PersistentPoolIsReusedAcrossRuns) {
 }
 
 // ------------------------------------------------------------ query path
+TEST(Engine, ExportsScanWorkCounters) {
+  if (!obs::kEnabled) GTEST_SKIP() << "compiled with SLUGGER_OBS=OFF";
+  const EngineOptions options = OptionsFor(kEngineCases[0]);
+  Engine engine(options);
+  ASSERT_TRUE(engine.Summarize(TestGraph()).ok());  // registers the metrics
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
+  obs::Counter* evaluations =
+      registry.GetCounter("slugger_engine_evaluations_total");
+  obs::Counter* skips = registry.GetCounter("slugger_engine_bound_skips_total");
+  const uint64_t evaluations_before = evaluations->Value();
+  const uint64_t skips_before = skips->Value();
+  ASSERT_TRUE(engine.Summarize(TestGraph()).ok());
+  // The sequential engine is deterministic, so a direct run counts the
+  // same work the engine just exported.
+  core::SluggerResult direct = core::Summarize(TestGraph(), options.config);
+  EXPECT_EQ(evaluations->Value() - evaluations_before, direct.evaluations);
+  EXPECT_EQ(skips->Value() - skips_before, direct.bound_skips);
+  EXPECT_GT(direct.bound_skips, 0u);
+}
+
 TEST(CompressedGraph, DegreeMatchesNeighborsSize) {
   graph::Graph g = TestGraph();
   Engine engine(OptionsFor(kEngineCases[0]));

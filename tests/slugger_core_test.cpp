@@ -1,15 +1,26 @@
 // Tests for SLUGGER's driver machinery: state aggregates, merge planner,
-// candidate generation, pruning substeps, thresholds, height bounds.
+// the partner-scan saving bound, candidate generation, pruning substeps,
+// thresholds, height bounds.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "api/compressed_graph.hpp"
 #include "core/candidate_generation.hpp"
+#include "core/encoding_solver.hpp"
+#include "core/encoding_universe.hpp"
 #include "core/merge_planner.hpp"
 #include "core/pruning.hpp"
 #include "core/slugger.hpp"
 #include "core/slugger_state.hpp"
 #include "gen/generators.hpp"
+#include "storage/storage.hpp"
 #include "summary/decode.hpp"
 #include "summary/verify.hpp"
 
@@ -133,6 +144,261 @@ TEST(MergePlanner, ScanPrefilterKeepsOverlappingPartners) {
   planner2.BeginScan(0);
   EXPECT_TRUE(planner2.MayOverlap(1));   // share neighbor 2
   EXPECT_FALSE(planner2.MayOverlap(4));  // distance >= 3
+}
+
+// ---------------------------------------------------------- saving bound
+// Checks SavingUpperBound(z) >= Evaluate(a, z).saving, with no epsilon,
+// for every ordered pair of current roots. Returns how many pairs the
+// bound would skip at θ = 0 (bound < 0), so callers can see it is not
+// vacuously +infinity.
+uint64_t ExpectBoundAdmissible(const SluggerState& state,
+                               MergePlanner& planner) {
+  uint64_t below_zero = 0;
+  const std::vector<SupernodeId> roots = state.roots();
+  for (SupernodeId a : roots) {
+    planner.BeginScan(a);
+    for (SupernodeId z : roots) {
+      if (z == a) continue;
+      double bound = planner.SavingUpperBound(z);
+      double saving = planner.Evaluate(a, z).saving;
+      EXPECT_GE(bound, saving) << "a=" << a << " z=" << z;
+      if (bound < 0.0) ++below_zero;
+    }
+  }
+  return below_zero;
+}
+
+// The cross-bucket step of SavingUpperBound's proof (merge_planner.cpp):
+// if t_A and t_Z are coverages with entries in {-1, 0, 1} whose minimum
+// encodings over S_a x S_C and S_z x S_C take k_A and k_Z edges, then the
+// optimum over the merged universe takes at least max(k_A, k_Z). Checked
+// for every Case-2 shape and every such pair of coverages.
+TEST(SavingBound, CrossBucketLemmaHoldsExhaustively) {
+  using Coverage = std::array<int8_t, 8>;
+  // Minimum encoding size of every coverage reachable over `slots`, by
+  // enumerating all signed subsets (at most 3^9).
+  auto min_sizes = [](const Universe& u, const std::vector<int>& slots) {
+    std::map<Coverage, int> best;
+    size_t total = 1;
+    for (size_t i = 0; i < slots.size(); ++i) total *= 3;
+    for (size_t code = 0; code < total; ++code) {
+      Coverage cov{};
+      int size = 0;
+      size_t digits = code;
+      for (int slot : slots) {
+        int d = static_cast<int>(digits % 3);
+        digits /= 3;
+        if (d == 0) continue;
+        ++size;
+        for (int c = 0; c < u.num_classes; ++c) {
+          if (u.slots[slot].cover >> c & 1) cov[c] += d == 1 ? 1 : -1;
+        }
+      }
+      bool in_range = std::all_of(cov.begin(), cov.end(),
+                                  [](int8_t v) { return v >= -1 && v <= 1; });
+      if (!in_range) continue;
+      auto it = best.find(cov);
+      if (it == best.end() || it->second > size) best[cov] = size;
+    }
+    return best;
+  };
+  size_t checked = 0;
+  for (int shape = 0; shape < 8; ++shape) {
+    const Universe& u = GetCase2Universe(shape & 4, shape & 2, shape & 1);
+    std::vector<int> a_slots;
+    std::vector<int> z_slots;
+    for (int i = 0; i < static_cast<int>(u.slots.size()); ++i) {
+      uint8_t p = u.slots[i].p;
+      if (p == kA || p == kA1 || p == kA2) a_slots.push_back(i);
+      if (p == kB || p == kB1 || p == kB2) z_slots.push_back(i);
+    }
+    const std::map<Coverage, int> a_min = min_sizes(u, a_slots);
+    const std::map<Coverage, int> z_min = min_sizes(u, z_slots);
+    for (const auto& [t_a, k_a] : a_min) {
+      for (const auto& [t_z, k_z] : z_min) {
+        int8_t target[8];
+        for (int c = 0; c < 8; ++c) {
+          target[c] = static_cast<int8_t>(t_a[c] + t_z[c]);
+        }
+        SolvedEncoding merged = SolveMinimumEncoding(u, target);
+        ASSERT_TRUE(merged.feasible) << "shape " << shape;
+        ASSERT_GE(merged.cost(), std::max(k_a, k_z)) << "shape " << shape;
+        ++checked;
+      }
+    }
+  }
+  EXPECT_EQ(checked, 8244u);
+}
+
+// Reaches merge-phase states by random Evaluate + Commit sequences: half
+// the steps merge a random pair whatever its saving (negative included),
+// the other half commit the best of a few overlapping partners, as the
+// greedy scan would, which builds deep trees with re-encoded edges. The
+// bound is checked against every pair at several points on the way.
+// Returns the number of pairs the bound would have skipped at θ = 0.
+uint64_t CheckBoundAlongRandomMerges(const graph::Graph& g, uint64_t seed) {
+  SluggerState state(g);
+  MergePlanner planner(&state);
+  Rng rng(seed);
+  uint64_t below_zero = ExpectBoundAdmissible(state, planner);
+  const size_t checkpoint = std::max<size_t>(state.roots().size() / 6, 1);
+  size_t merges = 0;
+  while (state.roots().size() > 2) {
+    const std::vector<SupernodeId>& roots = state.roots();
+    SupernodeId a = roots[rng.Below(roots.size())];
+    MergePlan best;
+    if (rng.Below(2) == 0) {
+      SupernodeId z = roots[rng.Below(roots.size())];
+      if (z == a) continue;
+      best = planner.Evaluate(a, z);
+    } else {
+      planner.BeginScan(a);
+      best.saving = -std::numeric_limits<double>::infinity();
+      for (int tries = 0; tries < 8; ++tries) {
+        SupernodeId z = roots[rng.Below(roots.size())];
+        if (z == a || !planner.MayOverlap(z)) continue;
+        MergePlan plan = planner.Evaluate(a, z);
+        if (plan.saving > best.saving) best = std::move(plan);
+      }
+      if (!best.valid) continue;
+    }
+    planner.Commit(best);
+    EXPECT_TRUE(state.saving_bound_valid());
+    if (++merges % checkpoint == 0) {
+      below_zero += ExpectBoundAdmissible(state, planner);
+      if (::testing::Test::HasFailure()) return below_zero;
+    }
+  }
+  EXPECT_TRUE(summary::VerifyLossless(g, state.summary()).ok());
+  return below_zero;
+}
+
+TEST(SavingBound, AdmissibleOnRmat) {
+  uint64_t skippable =
+      CheckBoundAlongRandomMerges(gen::RMat(7, 600, 0.57, 0.19, 0.19, 11), 1) +
+      CheckBoundAlongRandomMerges(gen::RMat(7, 900, 0.45, 0.15, 0.15, 12), 2);
+  EXPECT_GT(skippable, 0u) << "the bound never ruled out a partner";
+}
+
+TEST(SavingBound, AdmissibleOnErdosRenyi) {
+  // The dense second graph (45% of all pairs) shares so many neighbours
+  // that no pair is skippable at θ = 0; the sparse first one has many.
+  uint64_t skippable =
+      CheckBoundAlongRandomMerges(gen::ErdosRenyi(96, 400, 13), 3) +
+      CheckBoundAlongRandomMerges(gen::ErdosRenyi(64, 900, 14), 4);
+  EXPECT_GT(skippable, 0u) << "the bound never ruled out a partner";
+}
+
+TEST(SavingBound, AdmissibleOnPlantedHierarchy) {
+  gen::PlantedHierarchyOptions opt;
+  opt.branching = 3;
+  opt.depth = 2;
+  opt.leaf_size = 10;
+  opt.pair_link_prob = 0.4;
+  opt.noise_density = 0.01;
+  uint64_t skippable =
+      CheckBoundAlongRandomMerges(gen::PlantedHierarchy(opt, 15), 5) +
+      CheckBoundAlongRandomMerges(gen::PlantedHierarchy(opt, 16), 6);
+  EXPECT_GT(skippable, 0u) << "the bound never ruled out a partner";
+}
+
+TEST(SavingBound, SolverGiveUpSwitchesTheBoundOff) {
+  // A one-node search budget makes every nonzero target give up, so the
+  // twin merge keeps its two-edge buckets {0,1} x {c} unsolved.
+  graph::Graph g = TwinGraph();
+  SluggerState state(g);
+  MemoTable tiny(/*node_budget=*/1);
+  MergePlanner planner(&state, &tiny);
+  planner.BeginScan(0);
+  EXPECT_LT(planner.SavingUpperBound(1),
+            std::numeric_limits<double>::infinity());
+  MergePlan plan = planner.Evaluate(0, 1);
+  ASSERT_TRUE(plan.valid);
+  EXPECT_FALSE(plan.keeps_bound_invariant);
+  SupernodeId m = planner.Commit(plan);
+  EXPECT_TRUE(summary::VerifyLossless(g, state.summary()).ok());
+  EXPECT_FALSE(state.saving_bound_valid());
+  planner.BeginScan(m);
+  EXPECT_EQ(planner.SavingUpperBound(2),
+            std::numeric_limits<double>::infinity());
+
+  // With the default budget the same merge solves exactly.
+  SluggerState exact_state(g);
+  MergePlanner exact_planner(&exact_state);
+  MergePlan exact = exact_planner.Evaluate(0, 1);
+  EXPECT_TRUE(exact.keeps_bound_invariant);
+  exact_planner.Commit(exact);
+  EXPECT_TRUE(exact_state.saving_bound_valid());
+}
+
+// Outputs pinned from the build before the bound existed: the bound only
+// skips evaluations that cannot change a decision, so cost, merges and
+// the serialized bytes must stay exactly these, while the evaluation
+// count must at least halve. A noise-free gate on the merge scan's work.
+uint64_t Fnv1a(const std::string& bytes) {
+  uint64_t h = 1469598103934665603ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+struct PinnedRun {
+  MergeEngine engine;
+  uint32_t threads;
+  uint64_t cost;
+  uint64_t merges;
+  uint64_t evaluations_without_bound;
+  uint64_t file_hash;
+};
+
+void ExpectPinned(const graph::Graph& g, const PinnedRun& pin) {
+  SluggerConfig config;
+  config.engine = pin.engine;
+  config.num_threads = pin.threads;
+  config.seed = 3;
+  SluggerResult r = Summarize(g, config);
+  const std::string where = "engine " +
+                            std::to_string(static_cast<int>(pin.engine)) +
+                            " threads " + std::to_string(pin.threads);
+  EXPECT_EQ(r.stats.cost, pin.cost) << where;
+  EXPECT_EQ(r.merges, pin.merges) << where;
+  EXPECT_LE(2 * r.evaluations, pin.evaluations_without_bound) << where;
+  // A skipped partner is one evaluation fewer, nothing else.
+  EXPECT_EQ(r.evaluations + r.bound_skips, pin.evaluations_without_bound)
+      << where;
+  CompressedGraph compressed(std::move(r.summary), r.stats);
+  StatusOr<std::string> bytes = storage::Serialize(compressed);
+  ASSERT_TRUE(bytes.ok()) << where;
+  EXPECT_EQ(bytes.value().size(), 393216u) << where;
+  EXPECT_EQ(Fnv1a(bytes.value()), pin.file_hash) << where;
+}
+
+TEST(SavingBound, PinnedOutputsOnRmat) {
+  graph::Graph g = gen::RMat(9, 4096, 0.57, 0.19, 0.19, 1);
+  ExpectPinned(g, {MergeEngine::kSequential, 1, 2912, 121, 116489,
+                   0xd1e9a2eab78d82f7ull});
+  for (uint32_t threads : {1u, 4u}) {
+    ExpectPinned(g, {MergeEngine::kRoundBased, threads, 2891, 131, 117657,
+                     0x7cc95bda69ad21e6ull});
+  }
+}
+
+TEST(SavingBound, PinnedOutputsOnPlantedHierarchy) {
+  gen::PlantedHierarchyOptions opt;
+  opt.branching = 4;
+  opt.depth = 3;
+  opt.leaf_size = 8;
+  opt.pair_link_prob = 0.3;
+  opt.noise_density = 0.002;
+  graph::Graph g = gen::PlantedHierarchy(opt, 7);
+  ExpectPinned(g, {MergeEngine::kSequential, 1, 1188, 418, 21566,
+                   0x1dc192ccdcb4a7deull});
+  for (uint32_t threads : {1u, 4u}) {
+    ExpectPinned(g, {MergeEngine::kRoundBased, threads, 1233, 422, 20832,
+                     0x593ca0af39a5aae8ull});
+  }
 }
 
 // ---------------------------------------------------------- candidates

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <thread>
@@ -217,6 +218,50 @@ TEST(StorageApi, OpenModeControlsPagedServing) {
   ASSERT_TRUE(eager.ok()) << eager.status().ToString();
   EXPECT_FALSE(eager.value().paged());
   EXPECT_TRUE(eager.value().Verify(g).ok());
+  std::remove(path.c_str());
+}
+
+// Overwriting a file that a handle serves paged over mmap must leave that
+// handle working. Save replaces the file by rename, so the mapping keeps
+// the old inode; a Save that truncated the file in place made the old
+// handle's next page fault past the new length raise SIGBUS.
+TEST(StorageApi, SaveOverAFileServedOverMmapKeepsTheOldHandle) {
+  CompressedGraph first =
+      Summarize(gen::RMat(10, 6000, 0.57, 0.19, 0.19, 31));
+  CompressedGraph second = Summarize(gen::ErdosRenyi(200, 600, 32), 32);
+  const std::string path = TempPath("overwrite_served.slg2");
+  storage::SaveOptions save;
+  save.page_size = 4096;
+  ASSERT_TRUE(storage::Save(first, path, save).ok());
+  storage::OpenOptions open;
+  open.mode = storage::OpenOptions::Mode::kPaged;
+  open.buffer.io = storage::Io::kMmap;
+  StatusOr<CompressedGraph> served = storage::Open(path, open);
+  ASSERT_TRUE(served.ok()) << served.status().ToString();
+  ASSERT_TRUE(served.value().paged());
+
+  // The second summary's file is smaller, so in-place truncation would
+  // have cut pages the served handle has not faulted in yet.
+  ASSERT_TRUE(storage::Save(second, path, save).ok());
+  ExpectAgreement(first, served.value());
+  EXPECT_TRUE(served.value().paged());
+
+  StatusOr<CompressedGraph> reopened = storage::Open(path, open);
+  ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+  ExpectAgreement(second, reopened.value());
+
+  // A Save that cannot create its temporary file reports it.
+  EXPECT_FALSE(
+      storage::Save(second, TempPath("missing_dir/overwrite.slg2"), save).ok());
+
+  // The temporary file was renamed away, not left beside the target.
+  for (const auto& entry :
+       std::filesystem::directory_iterator(testing::TempDir())) {
+    EXPECT_EQ(entry.path().filename().string().rfind(
+                  "overwrite_served.slg2.tmp", 0),
+              std::string::npos)
+        << entry.path();
+  }
   std::remove(path.c_str());
 }
 
