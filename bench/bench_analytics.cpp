@@ -10,10 +10,12 @@
 // Per config we summarize once, time the batched baseline and the
 // hierarchy-native path at each pool size, and verify agreement on the
 // spot: PageRank within 1e-9 of the baseline, BFS distances and triangle
-// counts exactly equal to decode-then-compute. Disagreement fails the
-// bench regardless of timings. Results go to stdout and to
-// BENCH_analytics.json; CI gates on the high-compression 1-thread
-// speedup staying >= 2x (bench/check_analytics.py).
+// counts exactly equal to decode-then-compute. Triangles are timed too:
+// TrianglesOnHierarchy at each pool size against TrianglesOnGraph on the
+// input graph. Disagreement fails the bench regardless of timings.
+// Results go to stdout and to BENCH_analytics.json; CI gates on the
+// high-compression 1-thread PageRank speedup staying >= 2x
+// (bench/check_analytics.py), and prints the triangle timings ungated.
 //
 // Env knobs:
 //   SLUGGER_BENCH_AN_CAVES       caveman cave count  (default 96)
@@ -44,7 +46,7 @@ using slugger::bench::EnvU64;
 using slugger::bench::ThreadList;
 
 struct Run {
-  std::string mode;  ///< "batched" or "hierarchy"
+  std::string mode;  ///< "batched"/"graph" baseline or "hierarchy"
   uint32_t threads;
   double seconds;  ///< total over all reps
 };
@@ -54,7 +56,8 @@ struct ConfigResult {
   uint64_t nodes = 0;
   uint64_t edges = 0;
   uint64_t cost = 0;
-  std::vector<Run> runs;
+  std::vector<Run> runs;            ///< PageRank, baseline first
+  std::vector<Run> triangle_runs;   ///< triangles, baseline first
   double max_abs_diff = 0.0;  ///< hierarchy vs batched PageRank
   bool bfs_agree = false;
   bool triangles_agree = false;
@@ -148,19 +151,45 @@ int main() {
       }
     }
 
-    // Exactness spot checks against decode-then-compute.
+    // Triangles: sorted-adjacency counting on the input graph, then the
+    // hierarchy-native count at each pool size; every count must agree.
+    uint64_t graph_triangles = 0;
+    {
+      WallTimer timer;
+      for (uint64_t rep = 0; rep < reps; ++rep) {
+        graph_triangles = algs::TrianglesOnGraph(g);
+      }
+      r.triangle_runs.push_back({"graph", 1, timer.Seconds()});
+    }
+    r.triangles_agree = true;
+    for (uint32_t t : thread_list) {
+      ThreadPool pool(t);
+      ThreadPool* pool_ptr = t > 1 ? &pool : nullptr;
+      uint64_t native_triangles = 0;
+      WallTimer timer;
+      for (uint64_t rep = 0; rep < reps; ++rep) {
+        native_triangles = algs::TrianglesOnHierarchy(s, pool_ptr);
+      }
+      r.triangle_runs.push_back({"hierarchy", t, timer.Seconds()});
+      r.triangles_agree =
+          r.triangles_agree && native_triangles == graph_triangles;
+    }
+
+    // Exactness spot check against decode-then-compute.
     const NodeId start = g.num_nodes() / 2;
     r.bfs_agree = algs::BfsOnHierarchy(s, start) == algs::BfsOnGraph(g, start);
-    r.triangles_agree =
-        algs::TrianglesOnHierarchy(s) == algs::TrianglesOnGraph(g);
 
-    const double base_seconds = r.runs.front().seconds;
-    std::printf("  %-10s %-8s %10s %10s\n", "mode", "threads", "seconds",
-                "speedup");
-    for (const Run& run : r.runs) {
-      std::printf("  %-10s %-8u %10.3f %9.2fx\n", run.mode.c_str(),
-                  run.threads, run.seconds, base_seconds / run.seconds);
-    }
+    auto print_runs = [](const char* what, const std::vector<Run>& runs) {
+      std::printf("  %-10s %-10s %-8s %10s %10s\n", what, "mode", "threads",
+                  "seconds", "speedup");
+      for (const Run& run : runs) {
+        std::printf("  %-10s %-10s %-8u %10.3f %9.2fx\n", "", run.mode.c_str(),
+                    run.threads, run.seconds,
+                    runs.front().seconds / run.seconds);
+      }
+    };
+    print_runs("pagerank", r.runs);
+    print_runs("triangles", r.triangle_runs);
     std::printf("  pagerank max|diff|=%.3g bfs=%s triangles=%s\n\n",
                 r.max_abs_diff, r.bfs_agree ? "exact" : "MISMATCH",
                 r.triangles_agree ? "exact" : "MISMATCH");
@@ -169,6 +198,23 @@ int main() {
     results.push_back(std::move(r));
   }
 
+  // One JSON array of runs, each with its speedup over the list's first
+  // (baseline) entry.
+  auto runs_json = [](const std::vector<Run>& runs, const char* speedup_key) {
+    std::string out = "[";
+    for (size_t i = 0; i < runs.size(); ++i) {
+      const Run& run = runs[i];
+      char buf[200];
+      std::snprintf(buf, sizeof(buf),
+                    "%s{\"mode\":\"%s\",\"threads\":%u,\"seconds\":%.6f,"
+                    "\"%s\":%.4f}",
+                    i == 0 ? "" : ",", run.mode.c_str(), run.threads,
+                    run.seconds, speedup_key,
+                    runs.front().seconds / run.seconds);
+      out += buf;
+    }
+    return out + "]";
+  };
   std::string json = "{\"bench\":\"analytics\",\"iters\":" +
                      std::to_string(iters) +
                      ",\"reps\":" + std::to_string(reps) + ",\"configs\":[";
@@ -177,21 +223,13 @@ int main() {
     json += (c == 0 ? "" : ",");
     json += "{\"name\":\"" + r.name + "\",\"nodes\":" +
             std::to_string(r.nodes) + ",\"edges\":" + std::to_string(r.edges) +
-            ",\"cost\":" + std::to_string(r.cost) + ",\"runs\":[";
-    const double base_seconds = r.runs.front().seconds;
-    for (size_t i = 0; i < r.runs.size(); ++i) {
-      const Run& run = r.runs[i];
-      char buf[200];
-      std::snprintf(buf, sizeof(buf),
-                    "%s{\"mode\":\"%s\",\"threads\":%u,\"seconds\":%.6f,"
-                    "\"speedup_vs_batched\":%.4f}",
-                    i == 0 ? "" : ",", run.mode.c_str(), run.threads,
-                    run.seconds, base_seconds / run.seconds);
-      json += buf;
-    }
+            ",\"cost\":" + std::to_string(r.cost) +
+            ",\"runs\":" + runs_json(r.runs, "speedup_vs_batched") +
+            ",\"triangle_runs\":" +
+            runs_json(r.triangle_runs, "speedup_vs_graph");
     char tail[160];
     std::snprintf(tail, sizeof(tail),
-                  "],\"pagerank_max_abs_diff\":%.3e,\"bfs_agree\":%s,"
+                  ",\"pagerank_max_abs_diff\":%.3e,\"bfs_agree\":%s,"
                   "\"triangles_agree\":%s}",
                   r.max_abs_diff, r.bfs_agree ? "true" : "false",
                   r.triangles_agree ? "true" : "false");

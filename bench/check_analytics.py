@@ -13,6 +13,9 @@ enforces two things:
    PageRankOnSummaryBatched by --min-speedup (default 2x). This part is
    skipped when the baseline ran shorter than --min-single-seconds.
 
+It also prints, ungated, each config's triangle timings: the hierarchy-
+native count at each pool size against TrianglesOnGraph on the input.
+
 Usage:
     check_analytics.py [BENCH_analytics.json]
         [--config NAME] [--min-speedup X] [--min-single-seconds S]
@@ -69,6 +72,13 @@ def main() -> int:
         return 1
     print(f"exactness: all {len(configs)} config(s) agree "
           f"(PageRank within {args.max_diff}, BFS/triangles exact)")
+
+    for c in configs:
+        for run in c.get("triangle_runs", []):
+            print(f"triangles: config '{c.get('name', '?')}' "
+                  f"{run.get('mode', '?')} x{run.get('threads', '?')}: "
+                  f"{run.get('seconds', float('nan')):.4f}s "
+                  f"({run.get('speedup_vs_graph', float('nan')):.2f}x vs graph)")
 
     gated = next((c for c in configs if c.get("name") == args.config), None)
     if gated is None:

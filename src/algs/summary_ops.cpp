@@ -5,6 +5,7 @@
 #include <functional>
 #include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/thread_pool.hpp"
 
 namespace slugger::algs {
@@ -53,6 +54,41 @@ void ForRange(ThreadPool* pool, uint64_t n, uint64_t grain,
 
 unsigned WorkerCount(ThreadPool* pool) {
   return pool == nullptr ? 1u : pool->size();
+}
+
+/// A sparse table packed into one array: row r is at[off[r], off[r + 1]).
+/// Per-call tables use it rather than vectors of vectors: thousands of
+/// small blocks freed after a call are left for the next large malloc to
+/// sort, which made paged queries' p95 (a 4 KiB frame per fault) 67% worse.
+template <typename T>
+struct Csr {
+  std::vector<uint64_t> off;
+  std::vector<T> at;
+  std::span<const T> Row(uint64_t r) const {
+    return {at.data() + off[r], at.data() + off[r + 1]};
+  }
+};
+
+/// Builds a Csr by counting sort without staging the items: `emit(add)`
+/// must call add(row, item) for every item, the same way both times it
+/// runs (once to count, once to fill).
+template <typename T, typename Emit>
+Csr<T> BuildCsr(size_t rows, const Emit& emit) {
+  Csr<T> m;
+  m.off.assign(rows + 1, 0);
+  emit([&m](uint32_t r, const T&) { ++m.off[r + 1]; });
+  for (size_t r = 0; r < rows; ++r) m.off[r + 1] += m.off[r];
+  m.at.resize(m.off[rows]);
+  std::vector<uint64_t> cursor(m.off.begin(), m.off.end() - 1);
+  emit([&](uint32_t r, const T& item) { m.at[cursor[r]++] = item; });
+  return m;
+}
+
+obs::Counter* TriangleProducts() {
+  static obs::Counter* counter = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_algs_triangle_products_total",
+      "multiply-adds of the all-structural triangle trace");
+  return counter;
 }
 
 }  // namespace
@@ -321,88 +357,68 @@ uint64_t SummaryOps::CountTriangles(
     uint32_t pu, pv;  ///< positions, pu < pv
     int64_t w;
   };
-  struct Structural {
-    uint32_t alo, ahi, blo, bhi;
-    int32_t sign;
-    uint32_t self;
-  };
-  std::vector<Flat> flat_raw;
-  std::vector<Structural> structural;
-  std::vector<uint32_t> structural_a, structural_b;  // supernode ids
+  std::vector<Flat> flat;
+  std::vector<Superedge> structural;
+  flat.reserve(edges_.size() + corrections.size());
+  structural.reserve(edges_.size());
   for (const Superedge& se : edges_) {
     if (se.self == 0 && se.ahi - se.alo == 1 && se.bhi - se.blo == 1) {
       uint32_t pu = se.alo;
       uint32_t pv = se.blo;
       if (pu > pv) std::swap(pu, pv);
-      flat_raw.push_back({pu, pv, se.sign});
+      flat.push_back({pu, pv, se.sign});
     } else {
-      structural.push_back({se.alo, se.ahi, se.blo, se.bhi, se.sign, se.self});
-      structural_a.push_back(se.a);
-      structural_b.push_back(se.b);
+      structural.push_back(se);
     }
   }
   for (const EdgeCorrection& c : corrections) {
     uint32_t pu = rank[c.u];
     uint32_t pv = rank[c.v];
     if (pu > pv) std::swap(pu, pv);
-    flat_raw.push_back({pu, pv, c.sign});
+    flat.push_back({pu, pv, c.sign});
   }
   // A base leaf-leaf superedge and a correction can hit the same pair;
   // coverage is additive, so parallel entries merge to one net weight.
-  std::sort(flat_raw.begin(), flat_raw.end(), [](const Flat& a, const Flat& b) {
+  std::sort(flat.begin(), flat.end(), [](const Flat& a, const Flat& b) {
     return a.pu != b.pu ? a.pu < b.pu : a.pv < b.pv;
   });
-  std::vector<Flat> flat;
-  flat.reserve(flat_raw.size());
-  for (size_t i = 0; i < flat_raw.size();) {
+  size_t kept = 0;
+  for (size_t i = 0; i < flat.size();) {
     size_t j = i;
     int64_t w = 0;
-    while (j < flat_raw.size() && flat_raw[j].pu == flat_raw[i].pu &&
-           flat_raw[j].pv == flat_raw[i].pv) {
-      w += flat_raw[j].w;
+    while (j < flat.size() && flat[j].pu == flat[i].pu && flat[j].pv == flat[i].pv) {
+      w += flat[j].w;
       ++j;
     }
-    if (w != 0) flat.push_back({flat_raw[i].pu, flat_raw[i].pv, w});
+    if (w != 0) flat[kept++] = {flat[i].pu, flat[i].pv, w};
     i = j;
   }
+  flat.resize(kept);
 
   // ---- flat adjacency CSR in position space --------------------------
   // Sorted neighbor positions with a global cumulative-weight array, so
   // "signed flat mass from p into interval [lo, hi)" is two binary
   // searches and one subtraction.
-  std::vector<uint64_t> off(size_t{n_} + 1, 0);
-  for (const Flat& f : flat) {
-    ++off[f.pu + 1];
-    ++off[f.pv + 1];
-  }
-  for (uint32_t pos = 0; pos < n_; ++pos) off[pos + 1] += off[pos];
-  std::vector<uint32_t> nbr_pos(flat.size() * 2);
-  std::vector<int64_t> nbr_w(flat.size() * 2);
-  {
-    std::vector<uint64_t> cursor(off.begin(), off.end() - 1);
-    for (const Flat& f : flat) {
-      nbr_pos[cursor[f.pu]] = f.pv;
-      nbr_w[cursor[f.pu]++] = f.w;
-      nbr_pos[cursor[f.pv]] = f.pu;
-      nbr_w[cursor[f.pv]++] = f.w;
-    }
-  }
+  Csr<std::pair<uint32_t, int64_t>> adj =
+      BuildCsr<std::pair<uint32_t, int64_t>>(n_, [&](const auto& add) {
+        for (const Flat& f : flat) {
+          add(f.pu, {f.pv, f.w});
+          add(f.pv, {f.pu, f.w});
+        }
+      });
   ForRange(pool, n_, 1024, [&](uint64_t begin, uint64_t end, unsigned) {
-    std::vector<std::pair<uint32_t, int64_t>> tmp;
     for (uint64_t p = begin; p < end; ++p) {
-      tmp.clear();
-      for (uint64_t k = off[p]; k < off[p + 1]; ++k) {
-        tmp.emplace_back(nbr_pos[k], nbr_w[k]);
-      }
-      std::sort(tmp.begin(), tmp.end());
-      for (size_t k = 0; k < tmp.size(); ++k) {
-        nbr_pos[off[p] + k] = tmp[k].first;
-        nbr_w[off[p] + k] = tmp[k].second;
-      }
+      std::sort(adj.at.begin() + adj.off[p], adj.at.begin() + adj.off[p + 1]);
     }
   });
-  std::vector<int64_t> wcum(nbr_w.size() + 1, 0);
-  for (size_t k = 0; k < nbr_w.size(); ++k) wcum[k + 1] = wcum[k] + nbr_w[k];
+  std::vector<uint32_t> nbr_pos(adj.at.size());
+  std::vector<int64_t> wcum(adj.at.size() + 1, 0);
+  for (size_t k = 0; k < adj.at.size(); ++k) {
+    nbr_pos[k] = adj.at[k].first;
+    wcum[k + 1] = wcum[k] + adj.at[k].second;
+  }
+  const std::vector<uint64_t> off = std::move(adj.off);
+  adj.at = {};  // weights live on as differences of wcum
   // Signed flat mass from p into positions [lo, hi). Always stays inside
   // p's slice, so the global cumulative array subtracts cleanly.
   auto flat_interval_sum = [&](uint32_t p, uint32_t lo, uint32_t hi) -> int64_t {
@@ -413,7 +429,7 @@ uint64_t SummaryOps::CountTriangles(
   };
 
   // ---- per-leaf structural link lists --------------------------------
-  // links[pos] = structural edges covering the leaf at that position, as
+  // links.Row(pos) = structural edges covering the leaf at that position, as
   // (partner interval, sign, self). Discovered once per leaf by walking
   // its ancestor chain over per-supernode incidence lists.
   struct Link {
@@ -422,44 +438,24 @@ uint64_t SummaryOps::CountTriangles(
     uint32_t self;
   };
   const summary::HierarchyForest& forest = summary_->forest();
-  std::vector<std::vector<uint32_t>> inc(layout_.lo.size());
-  for (size_t e = 0; e < structural.size(); ++e) {
-    inc[structural_a[e]].push_back(static_cast<uint32_t>(e));
-    if (structural_b[e] != structural_a[e]) {
-      inc[structural_b[e]].push_back(static_cast<uint32_t>(e));
-    }
-  }
-  std::vector<uint64_t> link_off(size_t{n_} + 1, 0);
-  for (uint32_t pos = 0; pos < n_; ++pos) {
-    uint64_t count = 0;
-    for (SupernodeId x = layout_.leaf_at[pos]; x != kInvalidId;
-         x = forest.Parent(x)) {
-      count += inc[x].size();
-    }
-    link_off[pos + 1] = count;
-  }
-  for (uint32_t pos = 0; pos < n_; ++pos) link_off[pos + 1] += link_off[pos];
-  std::vector<Link> links(link_off[n_]);
-  ForRange(pool, n_, 1024, [&](uint64_t begin, uint64_t end, unsigned) {
-    for (uint64_t pos = begin; pos < end; ++pos) {
-      uint64_t k = link_off[pos];
+  const Csr<uint32_t> inc =
+      BuildCsr<uint32_t>(layout_.lo.size(), [&](const auto& add) {
+        for (uint32_t e = 0; e < structural.size(); ++e) {
+          add(structural[e].a, e);
+          if (structural[e].self == 0) add(structural[e].b, e);
+        }
+      });
+  const Csr<Link> links = BuildCsr<Link>(n_, [&](const auto& add) {
+    for (uint32_t pos = 0; pos < n_; ++pos) {
       for (SupernodeId x = layout_.leaf_at[pos]; x != kInvalidId;
            x = forest.Parent(x)) {
-        for (uint32_t e : inc[x]) {
-          const Structural& st = structural[e];
-          Link link;
-          link.sign = st.sign;
-          link.self = st.self;
-          if (st.self != 0 || x == structural_a[e]) {
-            // Self-loop partner is the supernode itself (minus the leaf);
-            // otherwise the leaf sits under side A, partner is B.
-            link.ylo = st.self != 0 ? st.alo : st.blo;
-            link.yhi = st.self != 0 ? st.ahi : st.bhi;
-          } else {
-            link.ylo = st.alo;
-            link.yhi = st.ahi;
-          }
-          links[k++] = link;
+        for (uint32_t e : inc.Row(x)) {
+          // The partner is the other side; a self-loop's partner is the
+          // supernode itself (minus the leaf).
+          const Superedge& st = structural[e];
+          const bool under_a = st.self != 0 || x == st.a;
+          add(pos, Link{under_a ? st.blo : st.alo, under_a ? st.bhi : st.ahi,
+                        st.sign, st.self});
         }
       }
     }
@@ -481,7 +477,8 @@ uint64_t SummaryOps::CountTriangles(
       int64_t sum = 0;
       while (i < iend && j < jend) {
         if (*i == *j) {
-          sum += nbr_w[i - base] * nbr_w[j - base];
+          sum += (wcum[i - base + 1] - wcum[i - base]) *
+                 (wcum[j - base + 1] - wcum[j - base]);
           ++i;
           ++j;
         } else if (*i < *j) {
@@ -505,8 +502,7 @@ uint64_t SummaryOps::CountTriangles(
   ForRange(pool, flat.size(), 256, [&](uint64_t begin, uint64_t end, unsigned w) {
     int64_t local = 0;
     auto one_direction = [&](uint32_t center, uint32_t anchor, int64_t fw) {
-      for (uint64_t k = link_off[anchor]; k < link_off[anchor + 1]; ++k) {
-        const Link& l = links[k];
+      for (const Link& l : links.Row(anchor)) {
         int64_t mass = flat_interval_sum(center, l.ylo, l.yhi);
         if (l.self != 0) mass -= fw;  // exclude the anchor itself
         local += l.sign * fw * mass;
@@ -530,10 +526,8 @@ uint64_t SummaryOps::CountTriangles(
     int64_t local = 0;
     for (uint64_t fi = begin; fi < end; ++fi) {
       const Flat& f = flat[fi];
-      for (uint64_t k1 = link_off[f.pv]; k1 < link_off[f.pv + 1]; ++k1) {
-        const Link& l1 = links[k1];
-        for (uint64_t k2 = link_off[f.pu]; k2 < link_off[f.pu + 1]; ++k2) {
-          const Link& l2 = links[k2];
+      for (const Link& l1 : links.Row(f.pv)) {
+        for (const Link& l2 : links.Row(f.pu)) {
           const uint32_t lo = std::max(l1.ylo, l2.ylo);
           const uint32_t hi = std::min(l1.yhi, l2.yhi);
           if (lo >= hi) continue;
@@ -548,155 +542,160 @@ uint64_t SummaryOps::CountTriangles(
   });
 
   // ---- T3: all three sides structural --------------------------------
-  // 6 * T3 = tr(C^3) for C = sum of signed structural blocks (an integer
-  // symmetric matrix with zero diagonal). A triple's trace is nonzero
-  // only when the three edges pairwise overlap on some side, so the
-  // enumeration walks the side-overlap link graph: multisets {i,i,i} x1,
-  // {i,i,j} / {i,j,j} x3, {i,j,k} x6 (cyclic + reversal invariance of
-  // the trace on symmetric factors).
-  const size_t ms = structural.size();
-  std::vector<std::vector<uint32_t>> ladj(ms);  // forward neighbors j > i
-  ForRange(pool, ms, 16, [&](uint64_t begin, uint64_t end, unsigned) {
-    auto overlap = [](uint32_t alo, uint32_t ahi, uint32_t blo, uint32_t bhi) {
-      return std::max(alo, blo) < std::min(ahi, bhi);
-    };
-    for (uint64_t i = begin; i < end; ++i) {
-      const Structural& x = structural[i];
-      for (size_t j = i + 1; j < ms; ++j) {
-        const Structural& y = structural[j];
-        if (overlap(x.alo, x.ahi, y.alo, y.ahi) ||
-            overlap(x.alo, x.ahi, y.blo, y.bhi) ||
-            overlap(x.blo, x.bhi, y.alo, y.ahi) ||
-            overlap(x.blo, x.bhi, y.blo, y.bhi)) {
-          ladj[i].push_back(static_cast<uint32_t>(j));
-        }
+  // 6 * T3 = tr(C^3) for C = sum of signed structural blocks. Over the k
+  // distinct endpoint supernodes, C = R^T W R - D: R holds their leaf-
+  // interval indicators, W is the k x k signed superedge matrix (self-
+  // loops on the diagonal) and D = diag(d) with d_p = sum of self-loop
+  // signs over supernodes containing leaf p. With Q = R^T W R and
+  // G = R R^T,
+  //   tr(C^3) = tr((WG)^3) - 3 tr(Q^2 D) + 3 tr(Q D^2) - tr(D^3).
+  // G[x][y] = |x ^ y| is nonzero only for nested pairs (the intervals are
+  // laminar), so G pairs each member with its member ancestors and WG
+  // stays sparse.
+  std::vector<uint32_t> member(layout_.lo.size(), kInvalidId);
+  std::vector<SupernodeId> ends;  // member index -> supernode id
+  for (const Superedge& st : structural) {
+    for (SupernodeId x : {st.a, st.b}) {
+      if (member[x] != kInvalidId) continue;
+      member[x] = static_cast<uint32_t>(ends.size());
+      ends.push_back(x);
+    }
+  }
+  const size_t k = ends.size();
+
+  // Sparse k x k matrices as rows of (column, value); W's parallel
+  // superedges (if any) merge through the dense accumulators below.
+  struct Entry {
+    uint32_t col;
+    int64_t val;
+  };
+  const Csr<Entry> wm = BuildCsr<Entry>(k, [&](const auto& add) {
+    for (const Superedge& st : structural) {
+      const uint32_t a = member[st.a];
+      const uint32_t b = member[st.b];
+      add(a, Entry{b, st.sign});
+      if (a != b) add(b, Entry{a, st.sign});
+    }
+  });
+  const Csr<Entry> gm = BuildCsr<Entry>(k, [&](const auto& add) {
+    for (uint32_t a = 0; a < k; ++a) {
+      const int64_t size = layout_.hi[ends[a]] - layout_.lo[ends[a]];
+      add(a, Entry{a, size});
+      for (SupernodeId y = forest.Parent(ends[a]); y != kInvalidId;
+           y = forest.Parent(y)) {
+        if (member[y] == kInvalidId) continue;
+        add(a, Entry{member[y], size});
+        add(member[y], Entry{a, size});
       }
     }
   });
 
-  // A structural block expands into at most two primitive terms: outer
-  // products chi_U chi_V^T, and for self-loops the diagonal correction
-  // -diag(chi_A). Traces of term triples are products of interval-clamp
-  // cardinalities (the interval family is laminar).
-  struct Term {
-    bool diag;
-    uint32_t ulo, uhi, vlo, vhi;  // diag terms use [ulo, uhi) only
-    int32_t w;
-  };
-  auto terms_of = [&structural](uint32_t e, Term out[2]) -> int {
-    const Structural& st = structural[e];
-    if (st.self == 0) {
-      out[0] = {false, st.alo, st.ahi, st.blo, st.bhi, 1};
-      out[1] = {false, st.blo, st.bhi, st.alo, st.ahi, 1};
-    } else {
-      out[0] = {false, st.alo, st.ahi, st.alo, st.ahi, 1};
-      out[1] = {true, st.alo, st.ahi, 0, 0, -1};
-    }
-    return 2;
-  };
-  auto trace_of_terms = [](const Term* t0, const Term* t1, const Term* t2) -> int64_t {
-    const Term* t[3] = {t0, t1, t2};
-    const int diags = int(t[0]->diag) + int(t[1]->diag) + int(t[2]->diag);
-    // The trace is cyclic-invariant; rotate diag terms to the tail so
-    // only four patterns remain (OOO, OOD, ODD, DDD).
-    while ((diags == 1 && !t[2]->diag) || (diags == 2 && t[0]->diag)) {
-      const Term* tmp = t[0];
-      t[0] = t[1];
-      t[1] = t[2];
-      t[2] = tmp;
-    }
-    const int64_t w = int64_t{t[0]->w} * t[1]->w * t[2]->w;
-    auto clamp2 = [](uint32_t alo, uint32_t ahi, uint32_t blo, uint32_t bhi) -> int64_t {
-      const uint32_t lo = std::max(alo, blo);
-      const uint32_t hi = std::min(ahi, bhi);
-      return lo < hi ? int64_t{hi} - lo : 0;
-    };
-    switch (diags) {
-      case 0:
-        // tr(O1 O2 O3) = |V1 ^ U2| |V2 ^ U3| |V3 ^ U1|
-        return w * clamp2(t[0]->vlo, t[0]->vhi, t[1]->ulo, t[1]->uhi) *
-               clamp2(t[1]->vlo, t[1]->vhi, t[2]->ulo, t[2]->uhi) *
-               clamp2(t[2]->vlo, t[2]->vhi, t[0]->ulo, t[0]->uhi);
-      case 1: {
-        // tr(O1 O2 D) = |V1 ^ U2| |U1 ^ V2 ^ W|
-        const uint32_t lo = std::max({t[0]->ulo, t[1]->vlo, t[2]->ulo});
-        const uint32_t hi = std::min({t[0]->uhi, t[1]->vhi, t[2]->uhi});
-        return w * clamp2(t[0]->vlo, t[0]->vhi, t[1]->ulo, t[1]->uhi) *
-               (lo < hi ? int64_t{hi} - lo : 0);
-      }
-      case 2: {
-        // tr(O D1 D2) = |U ^ V ^ W1 ^ W2|
-        const uint32_t lo = std::max({t[0]->ulo, t[0]->vlo, t[1]->ulo, t[2]->ulo});
-        const uint32_t hi = std::min({t[0]->uhi, t[0]->vhi, t[1]->uhi, t[2]->uhi});
-        return w * (lo < hi ? int64_t{hi} - lo : 0);
-      }
-      default: {
-        // tr(D1 D2 D3) = |W1 ^ W2 ^ W3|
-        const uint32_t lo = std::max({t[0]->ulo, t[1]->ulo, t[2]->ulo});
-        const uint32_t hi = std::min({t[0]->uhi, t[1]->uhi, t[2]->uhi});
-        return w * (lo < hi ? int64_t{hi} - lo : 0);
+  // M = W G row by row (Gustavson, dense accumulator).
+  uint64_t products = 0;  // its multiply-adds, also a bound on nnz(M)
+  for (const Entry& w : wm.at) products += gm.Row(w.col).size();
+  Csr<Entry> mm;
+  mm.off.assign(1, 0);
+  mm.at.reserve(std::min<uint64_t>(products, uint64_t{k} * k));
+  std::vector<int64_t> dense(k, 0);
+  std::vector<uint32_t> touched;
+  for (uint32_t a = 0; a < k; ++a) {
+    for (const Entry& w : wm.Row(a)) {
+      for (const Entry& g : gm.Row(w.col)) {
+        if (dense[g.col] == 0) touched.push_back(g.col);
+        dense[g.col] += w.val * g.val;
       }
     }
-  };
-  auto trace_triple = [&](uint32_t e1, uint32_t e2, uint32_t e3) -> int64_t {
-    Term a[2], b[2], c[2];
-    const int na = terms_of(e1, a);
-    const int nb = terms_of(e2, b);
-    const int nc = terms_of(e3, c);
-    int64_t total = 0;
-    for (int i = 0; i < na; ++i) {
-      for (int j = 0; j < nb; ++j) {
-        for (int k = 0; k < nc; ++k) {
-          total += trace_of_terms(&a[i], &b[j], &c[k]);
-        }
-      }
+    for (uint32_t c : touched) {
+      if (dense[c] != 0) mm.at.push_back({c, dense[c]});
+      dense[c] = 0;
     }
-    return total;
-  };
+    touched.clear();
+    mm.off.push_back(mm.at.size());
+  }
 
-  std::vector<int64_t> acc3(workers, 0);  // accumulates tr(C^3)
-  ForRange(pool, ms, 8, [&](uint64_t begin, uint64_t end, unsigned w) {
-    int64_t local = 0;
-    for (uint64_t i = begin; i < end; ++i) {
-      const int64_t si = structural[i].sign;
-      local += si * si * si * trace_triple(i, i, i);
-      const std::vector<uint32_t>& ni = ladj[i];
-      for (size_t a = 0; a < ni.size(); ++a) {
-        const uint32_t j = ni[a];
-        const int64_t sj = structural[j].sign;
-        local += 3 * si * si * sj * trace_triple(i, i, j);
-        local += 3 * si * sj * sj * trace_triple(i, j, j);
-        // Common forward neighbors k > j of i and j close a triple.
-        const std::vector<uint32_t>& nj = ladj[j];
-        size_t p = a + 1;
-        size_t q = 0;
-        while (p < ni.size() && q < nj.size()) {
-          if (ni[p] == nj[q]) {
-            const uint32_t k = ni[p];
-            local += 6 * si * sj * structural[k].sign * trace_triple(i, j, k);
-            ++p;
-            ++q;
-          } else if (ni[p] < nj[q]) {
-            ++p;
-          } else {
-            ++q;
-          }
+  // tr(M^3) = sum over x of <row x of M^2, column x of M>. Column x is
+  // row x of G W (W and G are symmetric), scattered into a dense
+  // per-worker vector; row x of M^2 streams past it.
+  std::vector<__int128> acc3(workers, 0);
+  std::vector<uint64_t> products3(workers, 0);
+  std::vector<std::vector<int64_t>> columns(workers);
+  ForRange(pool, k, 64, [&](uint64_t begin, uint64_t end, unsigned w) {
+    std::vector<int64_t>& column = columns[w];
+    column.resize(k, 0);
+    __int128 local = 0;
+    uint64_t count = 0;
+    for (uint64_t x = begin; x < end; ++x) {
+      for (const Entry& g : gm.Row(x)) {
+        count += wm.Row(g.col).size();
+        for (const Entry& e : wm.Row(g.col)) column[e.col] += g.val * e.val;
+      }
+      for (const Entry& xz : mm.Row(x)) {
+        count += mm.Row(xz.col).size();
+        __int128 sum = 0;
+        for (const Entry& zy : mm.Row(xz.col)) {
+          sum += static_cast<__int128>(zy.val) * column[zy.col];
         }
+        local += xz.val * sum;
+      }
+      for (const Entry& g : gm.Row(x)) {
+        for (const Entry& e : wm.Row(g.col)) column[e.col] = 0;
       }
     }
     acc3[w] += local;
+    products3[w] += count;
   });
 
-  int64_t t0 = 0, t1x2 = 0, t2 = 0, t3x6 = 0;
+  // The D corrections, one pass over the leaves under a self-loop. Row p
+  // of Q is the sum of s_l * chi(Y_l) over p's links l, so
+  //   Q_pp = sum_l s_l [p in Y_l],  (Q^2)_pp = sum_{l,l'} s_l s_l' |Y_l ^ Y_l'|.
+  std::vector<int64_t> d(size_t{n_} + 1, 0);  // difference array, then d_p
+  for (const Superedge& st : structural) {
+    if (st.self == 0) continue;
+    d[st.alo] += st.sign;
+    d[st.ahi] -= st.sign;
+  }
+  for (uint32_t pos = 0; pos < n_; ++pos) d[pos + 1] += d[pos];
+  ForRange(pool, n_, 1024, [&](uint64_t begin, uint64_t end, unsigned w) {
+    __int128 local = 0;
+    uint64_t count = 0;
+    for (uint64_t p = begin; p < end; ++p) {
+      const int64_t dp = d[p];
+      if (dp == 0) continue;
+      int64_t qpp = 0;
+      int64_t q2pp = 0;
+      const std::span<const Link> lp = links.Row(p);
+      for (size_t i = 0; i < lp.size(); ++i) {
+        if (p >= lp[i].ylo && p < lp[i].yhi) qpp += lp[i].sign;
+        for (size_t j = i; j < lp.size(); ++j) {  // l = l' once, l != l' twice
+          const uint32_t lo = std::max(lp[i].ylo, lp[j].ylo);
+          const uint32_t hi = std::min(lp[i].yhi, lp[j].yhi);
+          if (lo < hi) {
+            q2pp += (i == j ? 1 : 2) * int64_t{lp[i].sign} * lp[j].sign * (hi - lo);
+          }
+        }
+      }
+      count += lp.size() * (lp.size() + 1) / 2;
+      local += 3 * static_cast<__int128>(qpp) * dp * dp -
+               3 * static_cast<__int128>(q2pp) * dp -
+               static_cast<__int128>(dp) * dp * dp;
+    }
+    acc3[w] += local;
+    products3[w] += count;
+  });
+
+  int64_t t0 = 0, t1x2 = 0, t2 = 0;
+  __int128 t3x6 = 0;
   for (unsigned w = 0; w < workers; ++w) {
     t0 += acc0[w];
     t1x2 += acc1[w];
     t2 += acc2[w];
     t3x6 += acc3[w];
+    products += products3[w];
   }
+  TriangleProducts()->Add(products);
   assert(t1x2 % 2 == 0);
   assert(t3x6 % 6 == 0);
-  const int64_t total = t0 + t1x2 / 2 + t2 + t3x6 / 6;
+  const int64_t total = t0 + t1x2 / 2 + t2 + static_cast<int64_t>(t3x6 / 6);
   assert(total >= 0);
   return static_cast<uint64_t>(total);
 }

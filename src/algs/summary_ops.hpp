@@ -113,12 +113,19 @@ class SummaryOps {
   ///   flat^2 struct flat wedges closed by a structural block, found via
   ///                 per-leaf structural link lists + interval sums;
   ///   flat struct^2 per flat edge, link-pair interval intersections;
-  ///   struct^3      link-graph triple enumeration where each trace is
-  ///                 a sum of interval-clamp products (inclusion-
-  ///                 exclusion over the self-loop diagonal terms).
+  ///   struct^3      an exact sparse trace over the k distinct endpoint
+  ///                 supernodes: the structural matrix is
+  ///                 C = R^T W R - D (R their leaf indicators, W the
+  ///                 k x k signed superedge matrix, D the self-loop
+  ///                 diagonal), so with G = R R^T and Q = R^T W R,
+  ///                 tr(C^3) = tr((WG)^3) - 3 tr(Q^2 D) + 3 tr(Q D^2)
+  ///                 - tr(D^3). G is nonzero only on nested pairs, WG is
+  ///                 sparse, and the D terms are one pass over the
+  ///                 leaves under a self-loop.
   /// All block intersections are interval clamps because the interval
   /// family of a forest preorder is laminar. A pool parallelizes the
-  /// enumeration loops with per-worker accumulators.
+  /// enumeration loops with per-worker accumulators. Each call adds the
+  /// struct^3 multiply-adds to slugger_algs_triangle_products_total.
   uint64_t CountTriangles(
       ThreadPool* pool = nullptr,
       std::span<const EdgeCorrection> corrections = {}) const;
@@ -130,7 +137,7 @@ class SummaryOps {
     uint32_t alo, ahi, blo, bhi;
     int32_t sign;
     uint32_t self;
-    SupernodeId a, b;  ///< original supernode ids (triangle link lists)
+    SupernodeId a, b;  ///< original supernode ids (triangle counting)
   };
 
   template <typename T>

@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "graph/edge_list.hpp"
+#include "util/atomic_file.hpp"
 #include "util/varint.hpp"
 
 namespace slugger::graph {
@@ -39,14 +40,12 @@ StatusOr<Graph> LoadEdgeListText(const std::string& path) {
 }
 
 Status SaveEdgeListText(const Graph& g, const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
+  std::ostringstream out;
   out << "# nodes " << g.num_nodes() << " edges " << g.num_edges() << "\n";
   for (const Edge& e : g.Edges()) {
     out << e.first << ' ' << e.second << '\n';
   }
-  if (!out) return Status::IOError("write failed on " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, out.view());
 }
 
 Status SaveBinary(const Graph& g, const std::string& path) {
@@ -70,11 +69,7 @@ Status SaveBinary(const Graph& g, const std::string& path) {
     PutVarint64(&buf, static_cast<uint64_t>(e.second - prev_v));
     prev_v = e.second;
   }
-  std::ofstream out(path, std::ios::binary);
-  if (!out) return Status::IOError("cannot open " + path + " for writing");
-  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
-  if (!out) return Status::IOError("write failed on " + path);
-  return Status::OK();
+  return WriteFileAtomically(path, buf);
 }
 
 StatusOr<Graph> LoadBinary(const std::string& path) {

@@ -15,6 +15,8 @@ namespace slugger::graph {
 StatusOr<Graph> LoadEdgeListText(const std::string& path);
 
 /// Writes the canonical edge list as text, preceded by a comment header.
+/// Both writers replace `path` whole (WriteFileAtomically): a reader of
+/// the old file keeps it, and a failed write leaves it as it was.
 Status SaveEdgeListText(const Graph& g, const std::string& path);
 
 /// Compact binary format: magic, node count, then delta-varint edges.

@@ -15,6 +15,8 @@
 #include "api/engine.hpp"
 #include "core/slugger.hpp"
 #include "gen/generators.hpp"
+#include "obs/metrics.hpp"
+#include "summary/decode.hpp"
 #include "util/random.hpp"
 #include "util/thread_pool.hpp"
 
@@ -143,6 +145,8 @@ struct NamedGraph {
 
 graph::Graph RmatGraph() { return gen::RMat(9, 4096, 0.57, 0.19, 0.19, 13); }
 graph::Graph ErGraph() { return gen::ErdosRenyi(600, 2400, 17); }
+graph::Graph CavemanGraph() { return gen::Caveman(12, 10, 0.05, 19); }
+graph::Graph BaGraph() { return gen::BarabasiAlbert(500, 4, 0.3, 21); }
 
 class HierarchyNative : public ::testing::TestWithParam<NamedGraph> {};
 
@@ -203,7 +207,9 @@ TEST_P(HierarchyNative, PoolResultsMatchSerial) {
 
 INSTANTIATE_TEST_SUITE_P(
     Graphs, HierarchyNative,
-    ::testing::Values(NamedGraph{"rmat", RmatGraph}, NamedGraph{"er", ErGraph}),
+    ::testing::Values(NamedGraph{"rmat", RmatGraph}, NamedGraph{"er", ErGraph},
+                      NamedGraph{"caveman", CavemanGraph},
+                      NamedGraph{"ba", BaGraph}),
     [](const ::testing::TestParamInfo<NamedGraph>& info) {
       return info.param.name;
     });
@@ -211,8 +217,7 @@ INSTANTIATE_TEST_SUITE_P(
 // Overlay-aware analytics: after random edits, the DynamicGraph's
 // hierarchy-native results must equal decode-then-compute on the mutated
 // graph — live, with the overlay entering as correction terms.
-TEST(HierarchyNativeOverlay, DynamicGraphAnalyticsMatchDecode) {
-  graph::Graph g = gen::ErdosRenyi(300, 1200, 23);
+void ExpectOverlayAnalyticsMatchDecode(const graph::Graph& g, uint64_t seed) {
   EngineOptions options;
   options.config.iterations = 10;
   options.config.seed = 7;
@@ -224,7 +229,7 @@ TEST(HierarchyNativeOverlay, DynamicGraphAnalyticsMatchDecode) {
   dopt.auto_compact = false;  // keep every edit in the overlay
   DynamicGraph dg(std::move(compressed).value(), dopt);
 
-  Rng rng(29);
+  Rng rng(seed);
   std::vector<EdgeEdit> edits;
   for (int i = 0; i < 200; ++i) {
     NodeId u = static_cast<NodeId>(rng.Below(g.num_nodes()));
@@ -249,6 +254,14 @@ TEST(HierarchyNativeOverlay, DynamicGraphAnalyticsMatchDecode) {
   EXPECT_EQ(TrianglesOnGraph(mutated), dg.Triangles());
   ThreadPool pool(4);
   EXPECT_EQ(TrianglesOnGraph(mutated), dg.Triangles(&pool));
+}
+
+TEST(HierarchyNativeOverlay, DynamicGraphAnalyticsMatchDecode) {
+  ExpectOverlayAnalyticsMatchDecode(gen::ErdosRenyi(300, 1200, 23), 29);
+}
+
+TEST(HierarchyNativeOverlay, RmatAnalyticsMatchDecode) {
+  ExpectOverlayAnalyticsMatchDecode(RmatGraph(), 31);
 }
 
 TEST(HierarchyNativeFacade, CompressedGraphAnalytics) {
@@ -292,6 +305,114 @@ TEST(HierarchyNativeEdgeCases, EmptyAndIsolated) {
   auto dist = BfsOnHierarchy(s, 2);
   EXPECT_EQ(dist[2], 0u);
   for (NodeId u : {0u, 1u, 3u, 4u}) EXPECT_EQ(dist[u], kUnreached);
+}
+
+// ---------------------------------------------------------------------
+// Triangle exactness on the benchmark's own inputs, summarized the way
+// the benchmark summarizes them (T = 20, round-based engine, 1 thread).
+
+summary::SummaryGraph SummarizeLikeTheBenchmark(const graph::Graph& g) {
+  EngineOptions options;
+  options.config.iterations = 20;
+  options.config.num_threads = 1;
+  options.config.engine = MergeEngine::kRoundBased;
+  Engine engine(options);
+  StatusOr<CompressedGraph> compressed = engine.Summarize(g);
+  EXPECT_TRUE(compressed.ok()) << compressed.status().ToString();
+  return compressed.value().summary();
+}
+
+// The all-structural trace's multiply-adds are a noise-free work count:
+// on this summary, enumerating triples of the superedge overlap graph
+// instead took 4,615,710 trace evaluations.
+TEST(TrianglesExact, BenchmarkRmat) {
+  graph::Graph g = gen::RMat(11, 16384, 0.57, 0.19, 0.19, 1);
+  summary::SummaryGraph s = SummarizeLikeTheBenchmark(g);
+  EXPECT_EQ(TrianglesOnGraph(g), 98578u);
+  obs::Counter* products = obs::MetricsRegistry::Global().GetCounter(
+      "slugger_algs_triangle_products_total");
+  const uint64_t before = products->Value();
+  EXPECT_EQ(TrianglesOnHierarchy(s), 98578u);
+  if (obs::kEnabled) {
+    const uint64_t work = products->Value() - before;
+    EXPECT_GT(work, 0u);
+    EXPECT_LE(work, 4615710u / 4);
+  }
+  ThreadPool pool(4);
+  EXPECT_EQ(TrianglesOnHierarchy(s, &pool), 98578u);
+}
+
+TEST(TrianglesExact, BenchmarkPlantedHierarchy) {
+  gen::PlantedHierarchyOptions opt;
+  opt.branching = 4;
+  opt.depth = 4;
+  opt.leaf_size = 8;
+  opt.pair_link_prob = 0.3;
+  opt.noise_density = 0.001;
+  graph::Graph g = gen::PlantedHierarchy(opt, 7);
+  summary::SummaryGraph s = SummarizeLikeTheBenchmark(g);
+  EXPECT_EQ(TrianglesOnGraph(g), 1676026u);
+  EXPECT_EQ(TrianglesOnHierarchy(s), 1676026u);
+  ThreadPool pool(4);
+  EXPECT_EQ(TrianglesOnHierarchy(s, &pool), 1676026u);
+}
+
+// Hand-built summaries exercise block shapes on purpose; each is checked
+// against decode-then-count, serially and on a pool.
+void ExpectTrianglesMatchDecode(const summary::SummaryGraph& s) {
+  const uint64_t want = TrianglesOnGraph(summary::Decode(s));
+  EXPECT_EQ(TrianglesOnHierarchy(s), want);
+  ThreadPool pool(4);
+  EXPECT_EQ(TrianglesOnHierarchy(s, &pool), want);
+}
+
+TEST(TrianglesHandBuilt, SelfLoopOnNestedSupernodeWithCarvedEdges) {
+  summary::SummaryGraph s(8);
+  const SupernodeId a = s.Merge(0, 1);
+  const SupernodeId b = s.Merge(2, 3);
+  const SupernodeId ab = s.Merge(a, b);
+  const SupernodeId top = s.Merge(ab, 4);  // leaves 0..4
+  s.AddEdge(top, top, +1);                 // K5 ...
+  s.AddEdge(0, 1, -1);                     // ... minus two edges
+  s.AddEdge(2, 4, -1);
+  s.AddEdge(4, 5, +1);  // flat edges closing a triangle through 0-4
+  s.AddEdge(0, 5, +1);
+  s.AddEdge(b, 6, +1);  // supernode-leaf edge leaving the block
+  ExpectTrianglesMatchDecode(s);
+  EXPECT_GT(TrianglesOnHierarchy(s), 0u);
+}
+
+TEST(TrianglesHandBuilt, NegativeEdgeBetweenNonLeafSupernodes) {
+  summary::SummaryGraph s(8);
+  const SupernodeId e = s.Merge(0, 1);
+  const SupernodeId f = s.Merge(2, 3);
+  const SupernodeId ef = s.Merge(e, f);
+  const SupernodeId top = s.Merge(ef, 4);  // leaves 0..4
+  const SupernodeId g = s.Merge(5, 6);
+  s.AddEdge(top, top, +1);
+  s.AddEdge(e, f, -1);   // removes the four E-F pairs
+  s.AddEdge(ef, g, +1);  // positive edge between non-leaf supernodes
+  s.AddEdge(e, g, -1);   // and a negative one carved from it
+  ExpectTrianglesMatchDecode(s);
+  EXPECT_GT(TrianglesOnHierarchy(s), 0u);
+}
+
+TEST(TrianglesHandBuilt, SupernodeLeafEdgeAcrossTrees) {
+  summary::SummaryGraph s(9);
+  const SupernodeId a = s.Merge(0, 1);
+  const SupernodeId left = s.Merge(a, 2);  // tree 1: leaves 0..2
+  const SupernodeId b = s.Merge(3, 4);
+  const SupernodeId right = s.Merge(b, 5);  // tree 2: leaves 3..5
+  s.AddEdge(left, left, +1);
+  s.AddEdge(right, right, +1);
+  s.AddEdge(a, 3, +1);    // supernode of tree 1 to a leaf of tree 2
+  s.AddEdge(left, 4, +1);
+  s.AddEdge(1, 4, -1);    // carve one pair back out
+  s.AddEdge(b, 7, +1);    // supernode to a leaf root
+  s.AddEdge(3, 8, +1);
+  s.AddEdge(7, 8, +1);
+  ExpectTrianglesMatchDecode(s);
+  EXPECT_GT(TrianglesOnHierarchy(s), 0u);
 }
 
 TEST(Algs, KnownTriangleCount) {

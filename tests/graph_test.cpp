@@ -4,6 +4,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "graph/edge_list.hpp"
 #include "graph/graph.hpp"
@@ -166,6 +168,49 @@ TEST(GraphIo, BinaryRejectsTruncation) {
   auto loaded = LoadBinary(path);
   EXPECT_FALSE(loaded.ok());
   std::remove(path.c_str());
+}
+
+std::string ReadAll(std::istream& in) {
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+// Both writers replace the file whole: a reader that opened the old file
+// keeps reading the old bytes, and a reload sees exactly the new graph.
+TEST(GraphIo, SaveOverAnOpenFileKeepsTheOldBytes) {
+  using Saver = Status (*)(const Graph&, const std::string&);
+  using Loader = StatusOr<Graph> (*)(const std::string&);
+  struct Format {
+    const char* name;
+    Saver save;
+    Loader load;
+  };
+  const Graph big = gen::BarabasiAlbert(400, 4, 0.2, 11);
+  const Graph small = gen::ErdosRenyi(40, 90, 12);
+  for (const Format& f : {Format{"text", SaveEdgeListText, LoadEdgeListText},
+                          Format{"binary", SaveBinary, LoadBinary}}) {
+    const std::string path = TempPath(std::string("slugger_io_over_") + f.name);
+    ASSERT_TRUE(f.save(big, path).ok()) << f.name;
+    std::string old_bytes;
+    {
+      std::ifstream whole(path, std::ios::binary);
+      old_bytes = ReadAll(whole);
+    }
+    std::ifstream held(path, std::ios::binary);
+    ASSERT_TRUE(held.is_open());
+    ASSERT_TRUE(f.save(small, path).ok()) << f.name;
+    EXPECT_EQ(ReadAll(held), old_bytes) << f.name;
+
+    auto loaded = f.load(path);
+    ASSERT_TRUE(loaded.ok()) << f.name << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().Edges(), small.Edges()) << f.name;
+    for (const auto& entry : std::filesystem::directory_iterator(
+             std::filesystem::path(path).parent_path())) {
+      EXPECT_EQ(entry.path().string().rfind(path + ".tmp.", 0),
+                std::string::npos)
+          << "leftover " << entry.path();
+    }
+    std::remove(path.c_str());
+  }
 }
 
 }  // namespace
