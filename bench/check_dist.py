@@ -15,7 +15,8 @@ Usage:
 Exit codes: 0 pass, 1 regression or checksum divergence, 2 bad input.
 If the single-box baseline ran faster than --min-single-seconds, the
 speedup gate passes with a notice instead of judging noise-dominated
-timings (the checksum check stays live).
+timings (the checksum check stays live). The stitch share of every
+sharded run is printed for information.
 """
 
 import argparse
@@ -64,6 +65,15 @@ def main() -> int:
                   file=sys.stderr)
         return 1
     print(f"checksums agree across {len(runs)} run(s)")
+
+    # Where the coordinator's time goes: the share of each run's query
+    # time spent stitching shard answers (reported, not gated).
+    for r in runs:
+        if r.get("mode") != "sharded":
+            continue
+        seconds = r.get("seconds", 0.0)
+        share = r.get("stitch_seconds", 0.0) / seconds if seconds > 0 else 0.0
+        print(f"stitch share at {r.get('shards')} shard(s): {share:.1%}")
 
     cores = os.cpu_count() or 1
     if cores < args.shards:

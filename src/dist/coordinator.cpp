@@ -4,6 +4,7 @@
 #include <string>
 
 #include "obs/metrics.hpp"
+#include "summary/canonical_batch.hpp"
 #include "util/thread_pool.hpp"
 #include "util/timer.hpp"
 
@@ -36,7 +37,8 @@ struct CoordObs {
           "per-shard dispatch latency");
   obs::Histogram* stitch_seconds = obs::MetricsRegistry::Global().GetHistogram(
       "slugger_coord_stitch_seconds", obs::HistogramOptions{1e-6, 2.0, 24},
-      "gather + reorder + sort time per batch");
+      "time to merge shard answers into the batch result (degree sum or "
+      "canonical radix stitch)");
   obs::Histogram* batch_seconds = obs::MetricsRegistry::Global().GetHistogram(
       "slugger_coord_batch_seconds", obs::HistogramOptions{1e-6, 2.0, 24},
       "whole scatter-gather batch latency");
@@ -146,7 +148,8 @@ struct GatherScratch {
   std::vector<std::vector<NodeId>> sub_nodes;
   std::vector<ShardAnswer> answers;
   std::vector<uint32_t> active;
-  std::vector<uint64_t> cursor;
+  std::vector<summary::ListSource> sources;
+  summary::CanonicalScratch canonical;
 };
 
 GatherScratch& ThreadLocalGatherScratch() {
@@ -289,9 +292,11 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
   }
 
   // Gather: per-shard contributions are disjoint (one owner per edge),
-  // so degrees add and neighbor lists concatenate; the final ascending
-  // sort per position is what makes the output canonical and
-  // byte-comparable to a single box regardless of shard count.
+  // so degrees add and neighbor lists concatenate. Shards emit lists in
+  // their own orders; WriteCanonicalBatch sorts each position's ids as
+  // it lays them out in input order, which makes the output
+  // byte-comparable to a single box at any shard count. Failed shards
+  // (allow_degraded) contribute nothing.
   WallTimer stitch_timer;
   if constexpr (kDegreesOnly) {
     degrees->assign(batch, 0);
@@ -303,52 +308,15 @@ Status Coordinator::RunScatterGather(std::span<const NodeId> nodes,
       }
     }
   } else {
-    out->offsets.assign(batch + 1, 0);
+    std::vector<summary::ListSource>& sources = scratch.sources;
+    sources.clear();
     for (uint32_t s : active) {
       const ShardAnswer& a = answers[s];
       if (!a.status.ok()) continue;
-      for (size_t k = 0; k < a.result.size(); ++k) {
-        out->offsets[positions[s][k] + 1] += a.result[k].size();
-      }
+      sources.push_back({positions[s], a.result.neighbors, a.result.offsets});
     }
-    for (size_t i = 0; i < batch; ++i) {
-      out->offsets[i + 1] += out->offsets[i];
-    }
-    out->neighbors.resize(out->offsets[batch]);
-    std::vector<uint64_t>& cursor = scratch.cursor;
-    cursor.assign(out->offsets.begin(), out->offsets.end() - 1);
-    for (uint32_t s : active) {
-      const ShardAnswer& a = answers[s];
-      if (!a.status.ok()) continue;
-      for (size_t k = 0; k < a.result.size(); ++k) {
-        const std::span<const NodeId> src = a.result[k];
-        std::copy(src.begin(), src.end(),
-                  out->neighbors.begin() + cursor[positions[s][k]]);
-        cursor[positions[s][k]] += src.size();
-      }
-    }
-    // Canonicalize: every list ascending. Dispatch leaves sub-answers in
-    // the shards' natural emission order (different summaries emit in
-    // different orders, so sorting there would still need a re-sort at
-    // boundary positions — paying once here is strictly less work), and
-    // positions are independent, so the pass rides the pool when one is
-    // available. Disjoint position ranges write disjoint slices of
-    // out->neighbors.
-    const auto sort_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        std::sort(out->neighbors.begin() + out->offsets[i],
-                  out->neighbors.begin() + out->offsets[i + 1]);
-      }
-    };
-    if (options_.pool != nullptr && options_.pool->size() > 1 && batch > 512) {
-      options_.pool->ParallelFor(
-          batch, /*grain=*/256,
-          [&](uint64_t begin, uint64_t end, unsigned) {
-            sort_range(begin, end);
-          });
-    } else {
-      sort_range(0, batch);
-    }
+    summary::WriteCanonicalBatch(sources, batch, manifest.num_nodes(),
+                                 &scratch.canonical, out);
   }
   const double stitch_seconds = stitch_timer.Seconds();
   obs.stitch_seconds->Observe(stitch_seconds);

@@ -81,7 +81,9 @@ struct GatherStats {
   uint64_t subqueries = 0;         ///< summed sub-batch sizes (fan-out cost)
   uint32_t slow_shards = 0;        ///< shards over the time budget
   double max_shard_seconds = 0.0;  ///< slowest shard's dispatch time
-  double stitch_seconds = 0.0;     ///< gather + reorder + sort time
+  /// Time to merge shard answers: the sum for degrees, the canonical
+  /// radix stitch (WriteCanonicalBatch) for neighbor lists.
+  double stitch_seconds = 0.0;
   std::vector<std::pair<uint32_t, Status>> degraded;  ///< shard -> failure
   /// Trace id of this batch's root span (0 with SLUGGER_OBS=OFF): the
   /// per-shard dispatch spans in obs::MetricsRegistry::RecentSpans()

@@ -210,8 +210,13 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
     it->second.tick = ++clock_;
     return static_cast<const uint8_t*>(it->second.data.get());
   }
+  // A full cache recycles its least-recently-used unpinned frame: the
+  // map node and the page buffer are reused, so a steady-state fault
+  // allocates nothing and its latency does not depend on the heap. If
+  // the load below fails, the recycled frame is dropped with it — the
+  // victim stays evicted and nothing new becomes resident.
+  decltype(frames_)::node_type recycled;
   if (frames_.size() >= max_resident_) {
-    // Evict the least-recently-used unpinned frame.
     auto victim = frames_.end();
     for (auto f = frames_.begin(); f != frames_.end(); ++f) {
       if (f->second.pins == 0 &&
@@ -223,17 +228,22 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
       return Status::Aborted("all " + std::to_string(max_resident_) +
                              " buffer frames are pinned");
     }
-    frames_.erase(victim);
+    recycled = frames_.extract(victim);
     evictions_.fetch_add(1, std::memory_order_relaxed);
     resident_.fetch_sub(1, std::memory_order_relaxed);
     Obs().evictions->Add(1);
     Obs().resident->Add(-1);
   }
-  auto data = std::make_unique<uint8_t[]>(page_size_);
+  Frame fresh;
+  Frame& frame = recycled ? recycled.mapped() : fresh;
+  if (frame.data == nullptr) {
+    frame.data = std::make_unique_for_overwrite<uint8_t[]>(page_size_);
+  }
+  uint8_t* data = frame.data.get();
   const uint64_t off = static_cast<uint64_t>(page) * page_size_;
   size_t got = 0;
   while (got < page_size_) {
-    const ssize_t r = ::pread(fd_, data.get() + got, page_size_ - got,
+    const ssize_t r = ::pread(fd_, data + got, page_size_ - got,
                               static_cast<off_t>(off + got));
     if (r < 0) {
       if (errno == EINTR) continue;
@@ -248,7 +258,7 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
   // Unlike mmap, a frame reloaded after eviction is re-verified — the
   // bytes just came off storage again.
   if (checksums_[page] != 0 &&
-      Checksum64(data.get(), page_size_) != checksums_[page]) {
+      Checksum64(data, page_size_) != checksums_[page]) {
     checksum_failures_.fetch_add(1, std::memory_order_relaxed);
     Obs().checksum_failures->Add(1);
     return Status::Corruption("page " + std::to_string(page) +
@@ -258,13 +268,15 @@ StatusOr<const uint8_t*> BufferManager::FetchPread(uint32_t page) {
   resident_.fetch_add(1, std::memory_order_relaxed);
   Obs().faults->Add(1);
   Obs().resident->Add(1);
-  Frame frame;
-  frame.data = std::move(data);
   frame.pins = 1;
   frame.tick = ++clock_;
-  const uint8_t* ptr = frame.data.get();
-  frames_.emplace(page, std::move(frame));
-  return ptr;
+  if (recycled) {
+    recycled.key() = page;
+    frames_.insert(std::move(recycled));
+  } else {
+    frames_.emplace(page, std::move(fresh));
+  }
+  return static_cast<const uint8_t*>(data);
 }
 
 void BufferManager::Unpin(uint32_t page) {

@@ -14,6 +14,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "summary/canonical_batch.hpp"
 
 namespace slugger::storage {
 
@@ -569,32 +570,21 @@ Status PagedSummarySource::RunPagedBatch(
       q.touched.clear();
       (*degrees)[i] = degree;
     } else {
-      const size_t start = s->staged.size();
       for (NodeId u : q.touched) {
         if (q.count[u] > 0 && u != v) s->staged.push_back(u);
         q.count[u] = 0;
       }
       q.touched.clear();
-      std::sort(s->staged.begin() + start, s->staged.end());
       s->staged_begin.push_back(s->staged.size());
     }
   }
 
   if constexpr (!kDegreesOnly) {
-    // Staged answers are in processing order; emit them in input order.
-    for (size_t k = 0; k < batch; ++k) {
-      result->offsets[s->order[k] + 1] =
-          s->staged_begin[k + 1] - s->staged_begin[k];
-    }
-    for (size_t i = 0; i < batch; ++i) {
-      result->offsets[i + 1] += result->offsets[i];
-    }
-    result->neighbors.resize(s->staged.size());
-    for (size_t k = 0; k < batch; ++k) {
-      std::copy(s->staged.begin() + s->staged_begin[k],
-                s->staged.begin() + s->staged_begin[k + 1],
-                result->neighbors.begin() + result->offsets[s->order[k]]);
-    }
+    // Staged answers are in processing order and unsorted; the staged
+    // list k belongs to input position order[k].
+    const summary::ListSource staged{s->order, s->staged, s->staged_begin};
+    summary::WriteCanonicalBatch({&staged, 1}, batch, header_.num_leaves,
+                                 &s->canonical, result);
   }
   return Status::OK();
 }

@@ -15,6 +15,7 @@
 #include <span>
 #include <vector>
 
+#include "summary/canonical_batch.hpp"
 #include "summary/summary_graph.hpp"
 #include "util/types.hpp"
 
@@ -96,20 +97,6 @@ size_t QueryDegree(const SummaryGraph& summary, NodeId v,
 void AccumulateCoverage(const SummaryGraph& summary, NodeId v,
                         QueryScratch* scratch);
 
-/// Adjacency lists of one batched query, concatenated: the neighbors of
-/// the i-th input node are neighbors[offsets[i] .. offsets[i+1]), in the
-/// caller's input order (not the internal processing order).
-struct BatchResult {
-  std::vector<NodeId> neighbors;
-  std::vector<uint64_t> offsets;  ///< batch size + 1 entries (0 when empty)
-
-  size_t size() const { return offsets.empty() ? 0 : offsets.size() - 1; }
-  std::span<const NodeId> operator[](size_t i) const {
-    return std::span<const NodeId>(neighbors)
-        .subspan(offsets[i], offsets[i + 1] - offsets[i]);
-  }
-};
-
 /// Per-caller buffers of the batched query path. Like QueryScratch it is
 /// allocation-free after warmup and reusable across summaries; every
 /// coverage counter and membership flag is zero between batches, so one
@@ -124,6 +111,7 @@ struct BatchScratch {
   std::vector<NodeId> staged;        ///< neighbors in processing order
   std::vector<uint64_t> staged_begin;
   std::vector<uint32_t> preorder;    ///< fallback leaf ranks (see below)
+  CanonicalScratch canonical;        ///< paged batches' canonical stitch
 };
 
 /// Fills scratch->chains/chain_begin with each node's root-first ancestor

@@ -259,6 +259,19 @@ TEST(ShardedServing, AgreesWithSingleBoxOnRmatAcrossShardCounts) {
   }
 }
 
+TEST(ShardedServing, AgreesWithSingleBoxPastOneRadixDigit) {
+  // Past 2,048 nodes the canonical stitch sorts ids in two 11-bit digit
+  // passes instead of one; the graphs above only ever take one.
+  graph::Graph g = gen::RMat(12, 12000, 0.57, 0.19, 0.19, /*seed=*/5);
+  ASSERT_GT(g.num_nodes(), 2048u);
+  CompressedGraph single = Compress(g);
+  const std::vector<NodeId> nodes = AdversarialBatch(g.num_nodes(), 13);
+  for (uint32_t shards : {1u, 2u, 4u, 8u}) {
+    ShardedGraph sharded = BuildSharded(g, shards);
+    ExpectShardedAgreesWithSingleBox(g, single, sharded, nodes);
+  }
+}
+
 TEST(ShardedServing, AgreesWithSingleBoxOnErdosRenyiEveryStrategy) {
   graph::Graph g = gen::ErdosRenyi(900, 5400, 21);
   CompressedGraph single = Compress(g);

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <random>
 #include <string>
@@ -21,6 +22,7 @@
 #include "api/engine.hpp"
 #include "gen/generators.hpp"
 #include "graph/graph.hpp"
+#include "storage/buffer_manager.hpp"
 #include "storage/format.hpp"
 #include "storage/paged_source.hpp"
 #include "storage/storage.hpp"
@@ -376,6 +378,115 @@ TEST(PagedStorage, PreadBackendBoundsResidency) {
   const storage::BufferStats stats = source->buffer_stats();
   EXPECT_LE(stats.resident_pages, 8u);
   EXPECT_GT(stats.evictions, 0u);  // the sweep cycled the tiny cache
+  std::remove(path.c_str());
+}
+
+TEST(PagedStorage, PagedBatchListsAreCanonical) {
+  // Paged batches come out in input order with every list ascending:
+  // byte-identical to the in-memory batch once its lists are sorted.
+  graph::Graph g = gen::RMat(12, 9000, 0.57, 0.19, 0.19, 41);
+  ASSERT_GT(g.num_nodes(), 2048u);  // two digit passes
+  CompressedGraph mem = Summarize(g, 41);
+  StatusOr<std::string> bytes = storage::Serialize(mem, {});
+  ASSERT_TRUE(bytes.ok());
+  StatusOr<CompressedGraph> paged = storage::OpenBuffer(bytes.value());
+  ASSERT_TRUE(paged.ok()) << paged.status().ToString();
+
+  std::vector<NodeId> nodes;
+  std::mt19937 rng(5);
+  for (int i = 0; i < 3000; ++i) nodes.push_back(rng() % g.num_nodes());
+  BatchResult expected, got;
+  BatchScratch sa, sb;
+  ASSERT_TRUE(mem.NeighborsBatch(nodes, &expected, &sa).ok());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    std::sort(expected.neighbors.begin() + expected.offsets[i],
+              expected.neighbors.begin() + expected.offsets[i + 1]);
+  }
+  ASSERT_TRUE(paged.value().NeighborsBatch(nodes, &got, &sb).ok());
+  EXPECT_EQ(got.offsets, expected.offsets);
+  EXPECT_EQ(got.neighbors, expected.neighbors);
+}
+
+TEST(BufferManagerPread, RecyclesEvictedFramesAndAgreesWithMemory) {
+  constexpr uint32_t kPageSize = 256;
+  constexpr uint32_t kPages = 9;
+  std::string image(kPageSize * kPages, '\0');
+  std::mt19937 rng(3);
+  for (char& c : image) c = static_cast<char>(rng());
+  std::vector<uint64_t> checksums(kPages);
+  const auto page_bytes = [&](uint32_t p) {
+    return reinterpret_cast<const uint8_t*>(image.data()) +
+           static_cast<size_t>(p) * kPageSize;
+  };
+  for (uint32_t p = 0; p < kPages; ++p) {
+    checksums[p] = storage::Checksum64(page_bytes(p), kPageSize);
+  }
+  const std::string path = TempPath("pread_frames.bin");
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fwrite(image.data(), 1, image.size(), f), image.size());
+    std::fclose(f);
+  }
+  storage::BufferOptions options;
+  options.io = storage::Io::kPread;
+  options.max_resident_pages = 2;
+  auto pread = storage::BufferManager::OpenFile(path, kPageSize, checksums,
+                                                options);
+  ASSERT_TRUE(pread.ok()) << pread.status().ToString();
+  auto memory = storage::BufferManager::FromBuffer(image, kPageSize, checksums);
+  ASSERT_TRUE(memory.ok()) << memory.status().ToString();
+
+  // Two frames and a sequential cycle: every fetch faults, and every
+  // fault past the first two evicts (reusing the victim's frame).
+  for (int round = 0; round < 2; ++round) {
+    for (uint32_t p = 0; p < kPages; ++p) {
+      StatusOr<storage::PageRef> a = pread.value()->Fetch(p);
+      StatusOr<storage::PageRef> b = memory.value()->Fetch(p);
+      ASSERT_TRUE(a.ok()) << a.status().ToString();
+      ASSERT_TRUE(b.ok()) << b.status().ToString();
+      ASSERT_EQ(std::memcmp(a.value().data(), b.value().data(), kPageSize), 0)
+          << "round " << round << ", page " << p;
+    }
+  }
+  storage::BufferStats stats = pread.value()->stats();
+  EXPECT_EQ(stats.fetches, 2u * kPages);
+  EXPECT_EQ(stats.faults, 2u * kPages);
+  EXPECT_EQ(stats.evictions, 2u * kPages - 2);
+  EXPECT_EQ(stats.resident_pages, 2u);
+  EXPECT_EQ(stats.pinned_now, 0u);
+
+  // A failed load still evicts its victim but leaves no frame resident:
+  // a checksum mismatch, then a short read past a truncated end.
+  std::vector<uint64_t> wrong = checksums;
+  wrong[4] ^= 1;
+  auto bad = storage::BufferManager::OpenFile(path, kPageSize, wrong, options);
+  ASSERT_TRUE(bad.ok()) << bad.status().ToString();
+  ASSERT_TRUE(bad.value()->Fetch(0).ok());
+  ASSERT_TRUE(bad.value()->Fetch(1).ok());
+  StatusOr<storage::PageRef> corrupt = bad.value()->Fetch(4);
+  ASSERT_FALSE(corrupt.ok());
+  EXPECT_EQ(corrupt.status().code(), Status::Code::kCorruption);
+  stats = bad.value()->stats();
+  EXPECT_EQ(stats.checksum_failures, 1u);
+  EXPECT_EQ(stats.evictions, 1u);
+  EXPECT_EQ(stats.resident_pages, 1u);
+  {
+    StatusOr<storage::PageRef> survivor = bad.value()->Fetch(1);
+    ASSERT_TRUE(survivor.ok());
+    EXPECT_EQ(std::memcmp(survivor.value().data(), page_bytes(1), kPageSize),
+              0);
+  }
+
+  std::filesystem::resize_file(path, kPageSize * 6);
+  StatusOr<storage::PageRef> cut = bad.value()->Fetch(7);
+  ASSERT_FALSE(cut.ok());
+  EXPECT_EQ(cut.status().code(), Status::Code::kIOError);
+  EXPECT_EQ(bad.value()->stats().resident_pages, 1u);
+  StatusOr<storage::PageRef> reload = bad.value()->Fetch(2);
+  ASSERT_TRUE(reload.ok()) << reload.status().ToString();
+  EXPECT_EQ(std::memcmp(reload.value().data(), page_bytes(2), kPageSize), 0);
+  EXPECT_EQ(bad.value()->stats().resident_pages, 2u);
   std::remove(path.c_str());
 }
 
